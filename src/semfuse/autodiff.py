@@ -62,9 +62,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy(), name=self.name)
-
     def backward(self, grad: Array | None = None) -> None:
         backward(self, grad)
 

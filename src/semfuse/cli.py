@@ -256,7 +256,7 @@ def cmd_eval(cfg: RunConfig) -> int:
         fused = _fused_gray(found[0])
         vis, ir, _chroma = load_pair(vis_path, ir_path)
         rep = evaluate_triple(fused, vis, ir)
-        rows.append(f"{found[0]},{rep.en!r},{rep.sd!r},{rep.scd!r},"
+        rows.append(f"{found[0].name},{rep.en!r},{rep.sd!r},{rep.scd!r},"
                     f"{rep.ms_ssim_mean!r},{rep.ms_ssim_sum!r}")
     if missing:
         raise UsageError(f"missing fused images for: {', '.join(missing)}")
@@ -399,10 +399,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except TrainingAbort as exc:
-        print(f"numerical abort: {exc}", file=sys.stderr)
-        return 2
-    except NonFiniteError as exc:
+    except (TrainingAbort, NonFiniteError) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 2
     except (ContractError, CheckpointError, PnmParseError, OSError) as exc:

@@ -268,24 +268,28 @@ def load_checkpoint(path, net: ParamModule) -> None:
     if digest != net.config_digest():
         raise CheckpointError("checkpoint config digest does not match this network")
     pos = 40
+
+    def take(size: int, what: str) -> bytes:
+        nonlocal pos
+        if pos + size > len(blob):
+            raise CheckpointError(f"checkpoint ends at byte {len(blob)}, inside {what}")
+        pos += size
+        return blob[pos - size:pos]
+
     for name, t in net.named_parameters():
-        if pos + 2 > len(blob):
-            raise CheckpointError(f"checkpoint truncated before parameter {name}")
-        (nlen,) = struct.unpack_from("<H", blob, pos)
-        pos += 2
-        got = blob[pos:pos + nlen].decode()
-        pos += nlen
+        (nlen,) = struct.unpack("<H", take(2, f"the name length of {name}"))
+        try:
+            got = take(nlen, f"the name of {name}").decode()
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"parameter name is not UTF-8 where {name} belongs") from exc
         if got != name:
             raise CheckpointError(f"parameter order mismatch: expected {name}, found {got}")
-        (ndim,) = struct.unpack_from("<B", blob, pos)
-        pos += 1
-        shape = struct.unpack_from(f"<{ndim}I", blob, pos)
-        pos += 4 * ndim
+        (ndim,) = struct.unpack("<B", take(1, f"the rank of {name}"))
+        shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"the shape of {name}"))
         if shape != t.data.shape:
             raise CheckpointError(f"shape mismatch for {name}: {shape} vs {t.data.shape}")
         n = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=n, offset=pos).reshape(shape)
-        pos += 8 * n
-        t.data = arr.astype(np.float64)
+        data = take(8 * n, f"the data of {name}")
+        t.data = np.frombuffer(data, dtype="<f8").reshape(shape).astype(np.float64)
     if pos != len(blob):
         raise CheckpointError(f"{len(blob) - pos} trailing bytes after last parameter")

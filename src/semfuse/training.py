@@ -191,12 +191,10 @@ class TrainState:
         return self.provider.stub
 
 
-def make_state(teacher: TeacherNet, student: StudentNet, cfg: TrainConfig,
-               provider: PriorProvider | None = None) -> TrainState:
-    if provider is None:
-        provider = PriorProvider(random_patches=cfg.ablations.no_sam)
+def make_state(teacher: TeacherNet, student: StudentNet, cfg: TrainConfig) -> TrainState:
     return TrainState(
-        teacher=teacher, student=student, cfg=cfg, provider=provider,
+        teacher=teacher, student=student, cfg=cfg,
+        provider=PriorProvider(random_patches=cfg.ablations.no_sam),
         adam_m=Adam(dict(teacher.named_parameters())),
         adam_s=Adam(dict(student.named_parameters())),
         rng=np.random.default_rng([cfg.seed, 404]))
@@ -214,6 +212,12 @@ def _priors(state: TrainState, vis, ir):
     mv = state.provider.masks_for(vis, "vis", rng=state.rng)
     mi = state.provider.masks_for(ir, "ir", rng=state.rng)
     return mv, mi, make_patches(vis, mv).patches, make_patches(ir, mi).patches
+
+
+def _source_context(out: Tensor, vis, ir) -> list:
+    """(grad, mse) context terms of `out` against the visible, then the infrared source."""
+    return [_guard("context", lambda: losses.loss_context(out, Tensor(src[None])))
+            for src in (vis, ir)]
 
 
 _TERM_KEYS = ("fea", "grad", "mse", "cs_ir", "cs_vis", "seg")
@@ -271,37 +275,60 @@ def _batch_objective(state: TrainState, batch, need_seg: bool):
     return total, parts, float(np.mean(gaps))
 
 
+def _teacher_only_objective(state: TrainState, batch):
+    """Source fidelity plus segmentation for the teacher alone."""
+    g_sum = m_sum = seg_sum = None
+    for vis, ir in batch:
+        mv, mi, pv, pi = _priors(state, vis, ir)
+        ref, _ = _guard("teacher-forward",
+                        lambda: state.teacher.forward(vis, ir, pv, pi))
+        for g, m in _source_context(ref, vis, ir):
+            g_sum = g if g_sum is None else g_sum + g
+            m_sum = m if m_sum is None else m_sum + m
+        seg = _guard("seg", lambda: losses.loss_seg(
+            state.stub.forward(ref), synth_labels(mv, mi, state.stub.n_classes)))
+        seg_sum = seg if seg_sum is None else seg_sum + seg
+    inv = 1.0 / len(batch)
+    total = (g_sum + m_sum + seg_sum) * inv
+    return total, float(g_sum.data) * inv, float(m_sum.data) * inv, float(seg_sum.data) * inv
+
+
 def main_phase(state: TrainState, batch, lr: float):
     """One teacher update on the full objective; student untouched."""
     state.teacher.zero_grad()
-    with frozen(p for _, p in state.student.named_parameters()):
+    with frozen(state.student.parameters()):
         total, parts, gap = _batch_objective(state, batch, need_seg=True)
         ad.backward(total)
-    clip_global_norm([p for _, p in state.teacher.named_parameters()])
+    clip_global_norm(state.teacher.parameters())
     state.adam_m.step(lr)
     return parts, gap
 
 
+def _distill(state: TrainState, batch, lr: float):
+    """One student update on the distillation objective: (total, parts, gap)."""
+    state.student.zero_grad()
+    with frozen(state.teacher.parameters()):
+        total, parts, gap = _batch_objective(state, batch, need_seg=False)
+        ad.backward(total)
+    clip_global_norm(state.student.parameters())
+    state.adam_s.step(lr)
+    return float(total.data), parts, gap
+
+
 def sub_phase(state: TrainState, batch, lr: float) -> float:
     """One student update on the distillation objective; teacher untouched."""
-    state.student.zero_grad()
-    with frozen(p for _, p in state.teacher.named_parameters()):
-        total, parts, _ = _batch_objective(state, batch, need_seg=False)
-        ad.backward(total)
-    clip_global_norm([p for _, p in state.student.named_parameters()])
-    state.adam_s.step(lr)
-    return float(total.data)
+    return _distill(state, batch, lr)[0]
 
 
 @dataclass
 class TrainReport:
     """Per-step loss rows plus epoch summaries and the final state digest."""
 
-    rows: list
-    epoch_sub: list
-    epoch_gap: list
-    diverged: bool
-    checksum: str
+    rows: list = field(default_factory=list)
+    epoch_sub: list = field(default_factory=list)
+    epoch_gap: list = field(default_factory=list)
+    diverged: bool = False
+    checksum: str = ""
 
     def write_csv(self, path) -> None:
         lines = [CSV_HEADER] + [r.csv_row() for r in self.rows]
@@ -315,222 +342,157 @@ def _crop_pair(state: TrainState, vis, ir):
     return random_crop(vis, ir, size, state.rng)
 
 
-def _progress(step, lds, ldm, lr_m, lr_s):
-    print(f"step={step} Lds={lds:.6f} Ldm={ldm:.6f} lr_m={lr_m:.6g} lr_s={lr_s:.6g}",
-          flush=True)
-
-
 def _state_digest(teacher, student) -> str:
     joint = teacher.state_checksum() + student.state_checksum()
     return hashlib.sha256(joint.encode()).hexdigest()
 
 
-def alternate_train(teacher: TeacherNet, student: StudentNet, pairs, cfg: TrainConfig,
-                    provider: PriorProvider | None = None,
-                    verbose: bool = True) -> TrainReport:
-    """Run the full alternating schedule over a list of (vis, ir) pairs."""
-    if not pairs:
-        raise ContractError("training needs at least one image pair")
-    if cfg.ablations.offline:
-        return _offline_train(teacher, student, pairs, cfg, provider, verbose)
-    state = make_state(teacher, student, cfg, provider)
-    n = len(pairs)
-    steps_per_epoch = math.ceil(n / cfg.batch)
-    total = cfg.steps if cfg.steps is not None else cfg.distill_epochs * steps_per_epoch
-    if total < 1:
-        raise ContractError("schedule resolves to zero steps")
-    rows, epoch_sub, epoch_gap = [], [], []
-    prev_mean = None
-    halted = False
-    step = 0
-    while step < total and not halted:
-        order = state.rng.permutation(n)
-        esub, egap = [], []
-        for start in range(0, n, cfg.batch):
-            if step >= total:
-                break
-            batch = [_crop_pair(state, *pairs[i]) for i in order[start:start + cfg.batch]]
-            lr_m = cosine_lr(step, total, cfg.lr_main, cfg.lr_floor)
-            lr_s = cosine_lr(step, total, cfg.lr_sub, cfg.lr_floor)
-            parts, gap = main_phase(state, batch, lr_m)
-            sub_phase(state, batch, lr_s)
-            step += 1
-            row = LossBreakdown.from_parts(step=step, lr_main=lr_m, lr_sub=lr_s, **parts)
-            rows.append(row)
-            esub.append(row.total_sub)
-            egap.append(gap)
-            if verbose:
-                _progress(step, row.total_sub, row.total_main, lr_m, lr_s)
-        if esub:
-            cur = float(np.mean(esub))
-            epoch_sub.append(cur)
-            epoch_gap.append(float(np.mean(egap)))
-            if diverged(prev_mean, cur):
-                halted = True
-            prev_mean = cur
-    return TrainReport(rows=rows, epoch_sub=epoch_sub, epoch_gap=epoch_gap,
-                       diverged=halted, checksum=_state_digest(teacher, student))
+# ---------------------------------------------------------------------------
+# the schedule: one generator of shuffled, cropped batches and one driver.
+# Each update below takes (state, batch, step, total), step counting from 0
+# within its pass, and returns (row, gap) or None; a gap of None keeps the
+# step out of the epoch means and the divergence guard.
 
 
-def _teacher_only_objective(state: TrainState, batch):
-    """Source fidelity plus segmentation for the teacher alone."""
-    g_sum = m_sum = seg_sum = None
-    for vis, ir in batch:
-        mv, mi, pv, pi = _priors(state, vis, ir)
-        ref, _ = _guard("teacher-forward",
-                        lambda: state.teacher.forward(vis, ir, pv, pi))
-        vt, it_ = Tensor(vis[None]), Tensor(ir[None])
-        for src in (vt, it_):
-            g, m = _guard("context", lambda: losses.loss_context(ref, src))
-            g_sum = g if g_sum is None else g_sum + g
-            m_sum = m if m_sum is None else m_sum + m
-        seg = _guard("seg", lambda: losses.loss_seg(
-            state.stub.forward(ref), synth_labels(mv, mi, state.stub.n_classes)))
-        seg_sum = seg if seg_sum is None else seg_sum + seg
-    inv = 1.0 / len(batch)
-    total = (g_sum + m_sum + seg_sum) * inv
-    return total, float(g_sum.data) * inv, float(m_sum.data) * inv, float(seg_sum.data) * inv
+def _epochs(state: TrainState, pairs, total: int):
+    """Yield each epoch as a lazy iterator of (step, cropped batch).
 
-
-def _offline_train(teacher, student, pairs, cfg, provider, verbose) -> TrainReport:
-    """Ablation: finish the teacher first, then distill into the student.
-
-    Each phase gets the same step budget the alternating run would use,
-    with its own cosine schedule.
+    An epoch's permutation is drawn when the epoch starts and each batch's
+    crops just before its update, so a run that stops draws nothing more.
     """
-    state = make_state(teacher, student, cfg, provider)
-    n = len(pairs)
-    steps_per_epoch = math.ceil(n / cfg.batch)
-    total = cfg.steps if cfg.steps is not None else cfg.distill_epochs * steps_per_epoch
-    if total < 1:
-        raise ContractError("schedule resolves to zero steps")
-    rows, epoch_sub, epoch_gap = [], [], []
-    step = 0
-    while step < total:
-        order = state.rng.permutation(n)
-        for start in range(0, n, cfg.batch):
-            if step >= total:
-                break
-            batch = [_crop_pair(state, *pairs[i]) for i in order[start:start + cfg.batch]]
-            lr_m = cosine_lr(step, total, cfg.lr_main, cfg.lr_floor)
-            state.teacher.zero_grad()
-            total_t, g, m, seg = _teacher_only_objective(state, batch)
-            ad.backward(total_t)
-            clip_global_norm([p for _, p in teacher.named_parameters()])
-            state.adam_m.step(lr_m)
-            step += 1
-            row = LossBreakdown.from_parts(step=step, lr_main=lr_m, lr_sub=0.0,
-                                           fea=0.0, grad=g, mse=m,
-                                           cs_ir=0.0, cs_vis=0.0, seg=seg)
-            rows.append(row)
-            if verbose:
-                _progress(step, row.total_sub, row.total_main, lr_m, 0.0)
+    n, size = len(pairs), state.cfg.batch
+    per_epoch = math.ceil(n / size)
+
+    def batches(order, first):
+        for step in range(first, min(first + per_epoch, total)):
+            at = (step - first) * size
+            yield step, [_crop_pair(state, *pairs[i]) for i in order[at:at + size]]
+
+    for first in range(0, total, per_epoch):
+        yield batches(state.rng.permutation(n), first)
+
+
+def _run(state: TrainState, pairs, total: int, update, report: TrainReport,
+         verbose: bool) -> None:
+    """Drive `update` over `total` steps, halting when an epoch mean diverges."""
     prev_mean = None
-    halted = False
-    sstep = 0
-    with frozen(p for _, p in teacher.named_parameters()):
-        while sstep < total and not halted:
-            order = state.rng.permutation(n)
-            esub, egap = [], []
-            for start in range(0, n, cfg.batch):
-                if sstep >= total:
-                    break
-                batch = [_crop_pair(state, *pairs[i])
-                         for i in order[start:start + cfg.batch]]
-                lr_s = cosine_lr(sstep, total, cfg.lr_sub, cfg.lr_floor)
-                state.student.zero_grad()
-                total_s, parts, gap = _batch_objective(state, batch, need_seg=False)
-                ad.backward(total_s)
-                clip_global_norm([p for _, p in student.named_parameters()])
-                state.adam_s.step(lr_s)
-                sstep += 1
-                row = LossBreakdown.from_parts(step=total + sstep, lr_main=0.0,
-                                               lr_sub=lr_s, **parts)
-                rows.append(row)
+    for epoch in _epochs(state, pairs, total):
+        esub, egap = [], []
+        for step, batch in epoch:
+            out = update(state, batch, step, total)
+            if out is None:
+                continue
+            row, gap = out
+            report.rows.append(row)
+            if verbose:
+                print(f"step={row.step} Lds={row.total_sub:.6f} Ldm={row.total_main:.6f} "
+                      f"lr_m={row.lr_main:.6g} lr_s={row.lr_sub:.6g}", flush=True)
+            if gap is not None:
                 esub.append(row.total_sub)
                 egap.append(gap)
-                if verbose:
-                    _progress(total + sstep, row.total_sub, row.total_main, 0.0, lr_s)
-            if esub:
-                cur = float(np.mean(esub))
-                epoch_sub.append(cur)
-                epoch_gap.append(float(np.mean(egap)))
-                if diverged(prev_mean, cur):
-                    halted = True
-                prev_mean = cur
-    return TrainReport(rows=rows, epoch_sub=epoch_sub, epoch_gap=epoch_gap,
-                       diverged=halted, checksum=_state_digest(teacher, student))
+        if esub:
+            cur = float(np.mean(esub))
+            report.epoch_sub.append(cur)
+            report.epoch_gap.append(float(np.mean(egap)))
+            if diverged(prev_mean, cur):
+                report.diverged = True
+                return
+            prev_mean = cur
 
 
-def _net_source_loss(state: TrainState, net_forward, vis, ir):
-    out = net_forward(vis, ir)
-    vt, it_ = Tensor(vis[None]), Tensor(ir[None])
-    total = None
-    for src in (vt, it_):
-        g, m = _guard("context", lambda: losses.loss_context(out, src))
-        term = g + m
-        total = term if total is None else total + term
-    return total
+def _alternating_step(state: TrainState, batch, step: int, total: int):
+    cfg = state.cfg
+    lr_m = cosine_lr(step, total, cfg.lr_main, cfg.lr_floor)
+    lr_s = cosine_lr(step, total, cfg.lr_sub, cfg.lr_floor)
+    parts, gap = main_phase(state, batch, lr_m)
+    sub_phase(state, batch, lr_s)
+    return LossBreakdown.from_parts(step=step + 1, lr_main=lr_m, lr_sub=lr_s, **parts), gap
 
 
-def _teacher_out(state: TrainState):
-    def run(vis, ir):
-        mv, mi, pv, pi = _priors(state, vis, ir)
-        ref, _ = _guard("teacher-forward",
-                        lambda: state.teacher.forward(vis, ir, pv, pi))
-        return ref
-    return run
+def _teacher_step(state: TrainState, batch, step: int, total: int):
+    lr_m = cosine_lr(step, total, state.cfg.lr_main, state.cfg.lr_floor)
+    state.teacher.zero_grad()
+    total_t, g, m, seg = _teacher_only_objective(state, batch)
+    ad.backward(total_t)
+    clip_global_norm(state.teacher.parameters())
+    state.adam_m.step(lr_m)
+    return LossBreakdown.from_parts(step=step + 1, lr_main=lr_m, lr_sub=0.0, fea=0.0,
+                                    grad=g, mse=m, cs_ir=0.0, cs_vis=0.0, seg=seg), None
 
 
-def _student_out(state: TrainState):
-    def run(vis, ir):
-        fus, _ = _guard("student-forward", lambda: state.student.forward(vis, ir))
-        return fus
-    return run
+def _student_step(state: TrainState, batch, step: int, total: int):
+    lr_s = cosine_lr(step, total, state.cfg.lr_sub, state.cfg.lr_floor)
+    _, parts, gap = _distill(state, batch, lr_s)
+    return LossBreakdown.from_parts(step=total + step + 1, lr_main=0.0, lr_sub=lr_s,
+                                    **parts), gap
 
 
-def pretrain(teacher: TeacherNet, student: StudentNet, pairs, cfg: TrainConfig,
-             provider: PriorProvider | None = None, verbose: bool = False) -> None:
+def alternate_train(teacher: TeacherNet, student: StudentNet, pairs, cfg: TrainConfig,
+                    verbose: bool = True) -> TrainReport:
+    """Run the full alternating schedule over a list of (vis, ir) pairs.
+
+    The offline ablation instead finishes the teacher first, then distills
+    into the student; each pass gets the step budget the alternating run
+    would use, with its own cosine schedule.
+    """
+    if not pairs:
+        raise ContractError("training needs at least one image pair")
+    state = make_state(teacher, student, cfg)
+    total = cfg.steps if cfg.steps is not None else (
+        cfg.distill_epochs * math.ceil(len(pairs) / cfg.batch))
+    if total < 1:
+        raise ContractError("schedule resolves to zero steps")
+    report = TrainReport()
+    passes = (_teacher_step, _student_step) if cfg.ablations.offline else (_alternating_step,)
+    for update in passes:
+        _run(state, pairs, total, update, report, verbose)
+    report.checksum = _state_digest(teacher, student)
+    return report
+
+
+def _source_loss(out: Tensor, vis, ir):
+    (g_v, m_v), (g_i, m_i) = _source_context(out, vis, ir)
+    return (g_v + m_v) + (g_i + m_i)
+
+
+def _teacher_out(state: TrainState, vis, ir) -> Tensor:
+    _, _, pv, pi = _priors(state, vis, ir)
+    return _guard("teacher-forward", lambda: state.teacher.forward(vis, ir, pv, pi))[0]
+
+
+def _student_out(state: TrainState, vis, ir) -> Tensor:
+    return _guard("student-forward", lambda: state.student.forward(vis, ir))[0]
+
+
+def _pretrain_step(state: TrainState, batch, step: int, total: int) -> None:
+    for net, adam, forward in ((state.teacher, state.adam_m, _teacher_out),
+                               (state.student, state.adam_s, _student_out)):
+        net.zero_grad()
+        loss = None
+        for vis, ir in batch:
+            term = _source_loss(forward(state, vis, ir), vis, ir)
+            loss = term if loss is None else loss + term
+        ad.backward(loss * (1.0 / len(batch)))
+        clip_global_norm(net.parameters())
+        adam.step(PRETRAIN_LR)
+
+
+def pretrain(teacher: TeacherNet, student: StudentNet, pairs, cfg: TrainConfig) -> None:
     """Independent source-fidelity warmup for both networks, constant lr."""
-    if cfg.pretrain_epochs == 0:
+    if cfg.pretrain_epochs == 0 or not pairs:
         return
-    state = make_state(teacher, student, cfg, provider)
+    state = make_state(teacher, student, cfg)
     state.rng = np.random.default_rng([cfg.seed, 331])
-    n = len(pairs)
-    total = cfg.pretrain_epochs * math.ceil(n / cfg.batch)
-    runners = ((teacher, state.adam_m, PRETRAIN_LR, _teacher_out(state)),
-               (student, state.adam_s, PRETRAIN_LR, _student_out(state)))
-    step = 0
-    while step < total:
-        order = state.rng.permutation(n)
-        for start in range(0, n, cfg.batch):
-            if step >= total:
-                break
-            batch = [_crop_pair(state, *pairs[i]) for i in order[start:start + cfg.batch]]
-            for net, adam, lr, forward in runners:
-                net.zero_grad()
-                loss = None
-                for vis, ir in batch:
-                    term = _net_source_loss(state, forward, vis, ir)
-                    loss = term if loss is None else loss + term
-                loss = loss * (1.0 / len(batch))
-                ad.backward(loss)
-                clip_global_norm([p for _, p in net.named_parameters()])
-                adam.step(lr)
-            step += 1
-            if verbose:
-                print(f"pretrain step={step}", flush=True)
+    total = cfg.pretrain_epochs * math.ceil(len(pairs) / cfg.batch)
+    _run(state, pairs, total, _pretrain_step, TrainReport(), verbose=False)
 
 
 def source_fidelity(state: TrainState, pairs) -> tuple:
     """Mean context loss of each net's output against both sources."""
-    t_params = [p for _, p in state.teacher.named_parameters()]
-    s_params = [p for _, p in state.student.named_parameters()]
     totals = []
-    with frozen(t_params), frozen(s_params):
-        for forward in (_teacher_out(state), _student_out(state)):
-            vals = []
-            for vis, ir in pairs:
-                vals.append(float(_net_source_loss(state, forward, vis, ir).data))
+    with frozen(state.teacher.parameters()), frozen(state.student.parameters()):
+        for forward in (_teacher_out, _student_out):
+            vals = [float(_source_loss(forward(state, vis, ir), vis, ir).data)
+                    for vis, ir in pairs]
             totals.append(float(np.mean(vals)))
     return totals[0], totals[1]

@@ -1,5 +1,6 @@
 """Command surface: config resolution, artifacts, exit codes, decoupling."""
 import re
+import shutil
 import subprocess
 import sys
 
@@ -203,6 +204,17 @@ class TestFuse:
                          str(tmp_path / "f"))
         assert rc == 1 and "checkpoint" in err
 
+    def test_truncated_checkpoint_exits_1(self, tmp_path, capsys, trained_student_dir):
+        data = tmp_path / "data"
+        write_dataset(data, 1, h=16, w=16, seed=2)
+        ckpt = trained_student_dir / "sub.ckpt"
+        blob = ckpt.read_bytes()
+        for cut in (60, 200, len(blob) - 3):
+            ckpt.write_bytes(blob[:cut])
+            rc, _, err = run(capsys, "fuse", "--data", str(data), "--ckpt", str(ckpt),
+                             "--out", str(tmp_path / "f"))
+            assert rc == 1 and err.startswith("error:"), cut
+
     def test_deterministic_outputs(self, tmp_path, capsys, trained_student_dir):
         data = tmp_path / "data"
         write_dataset(data, 1, h=16, w=16, seed=6)
@@ -292,6 +304,20 @@ class TestEval:
             assert float(cols[2]) == rep.sd
             assert float(cols[3]) == rep.scd
             assert float(cols[4]) == rep.ms_ssim_mean
+
+    def test_bytes_do_not_depend_on_fused_directory(self, tmp_path, capsys):
+        data, fused, _ = self._identity_setup(tmp_path)
+        elsewhere = tmp_path / "elsewhere" / "fused"
+        shutil.copytree(fused, elsewhere)
+        blobs = []
+        for i, fused_dir in enumerate((fused, elsewhere)):
+            out = tmp_path / f"rep{i}"
+            rc, _, _ = run(capsys, "eval", "--data", str(data), "--fused",
+                           str(fused_dir), "--out", str(out))
+            assert rc == 0
+            blobs.append((out / "metrics.csv").read_bytes())
+        assert blobs[0] == blobs[1]
+        assert blobs[0].decode().splitlines()[1].startswith("t.fused.pgm,")
 
     def test_missing_fused_listed(self, tmp_path, capsys):
         data, fused, _ = self._identity_setup(tmp_path)

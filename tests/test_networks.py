@@ -188,6 +188,30 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError):
             load_checkpoint(p, StudentNet(seed=13))
 
+    def test_every_truncation_is_a_checkpoint_error(self, tmp_path):
+        p = tmp_path / "t.ckpt"
+        net = StudentNet(seed=13)
+        save_checkpoint(p, net)
+        blob = p.read_bytes()
+        # header, then the first two parameters: u16 name length, name,
+        # u8 rank, u32 dims, float64 data
+        end = 40
+        for name, t in net.named_parameters()[:2]:
+            end += 2 + len(name) + 1 + 4 * t.data.ndim + 8 * t.data.size
+        for cut in [*range(end), len(blob) - 3, len(blob) - 2, len(blob) - 1]:
+            p.write_bytes(blob[:cut])
+            with pytest.raises(CheckpointError):
+                load_checkpoint(p, net)
+
+    def test_non_utf8_name_rejected(self, tmp_path):
+        p = tmp_path / "t.ckpt"
+        save_checkpoint(p, StudentNet(seed=13))
+        blob = bytearray(p.read_bytes())
+        blob[42] = 0xFF  # first byte of the first parameter name
+        p.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(p, StudentNet(seed=13))
+
 
 class TestGradients:
     def test_teacher_full_path(self):

@@ -331,3 +331,36 @@ class TestAlternate:
         assert report.diverged
         assert len(report.rows) < 8
         assert np.isfinite(report.rows[-1].total_sub)
+
+    def test_offline_deterministic_runs(self, tmp_path):
+        outs = []
+        for run in range(2):
+            teacher, student, cfg = slim_setup(seed=19, steps=2,
+                                               ablations=Ablations(offline=True))
+            report = alternate_train(teacher, student, make_pairs(3, h=24, w=24, seed=19),
+                                     cfg, verbose=False)
+            csv = tmp_path / f"r{run}.csv"
+            report.write_csv(csv)
+            outs.append((report.checksum, csv.read_bytes()))
+        assert outs[0] == outs[1]
+
+    def test_offline_epoch_growth_halts_student_pass(self, monkeypatch):
+        calls = {"n": 0}
+        real = losses_mod.loss_fea
+
+        def exploding(taps, feats):
+            calls["n"] += 1
+            return real(taps, feats) + Tensor(10.0 ** calls["n"])
+
+        monkeypatch.setattr(losses_mod, "loss_fea", exploding)
+        teacher, student, cfg = slim_setup(seed=18, batch=4, distill_epochs=6,
+                                           ablations=Ablations(offline=True))
+        report = alternate_train(teacher, student, make_pairs(2, seed=18), cfg,
+                                 verbose=False)
+        # all 6 teacher steps, then the student pass halts after its second epoch
+        assert report.diverged
+        assert [r.step for r in report.rows] == list(range(1, 9))
+        assert all(r.lr_sub == 0.0 for r in report.rows[:6])
+        assert all(r.lr_main == 0.0 for r in report.rows[6:])
+        assert len(report.epoch_sub) == 2
+        assert np.isfinite(report.rows[-1].total_sub)
