@@ -47,14 +47,14 @@ class RunConfig:
     fused: str = ""
     synthetic: int = 0
     steps: int = 0                  # 0 = derive from epochs
-    epochs: int = 5
-    pretrain_epochs: int = 0
-    batch: int = 4
-    crop: int = 32
-    seed: int = 0
-    lr_main: float = 5e-4
-    lr_sub: float = 2e-3
-    lr_floor: float = 1e-5
+    epochs: int = TrainConfig.distill_epochs
+    pretrain_epochs: int = TrainConfig.pretrain_epochs
+    batch: int = TrainConfig.batch
+    crop: int = TrainConfig.crop
+    seed: int = TrainConfig.seed
+    lr_main: float = TrainConfig.lr_main
+    lr_sub: float = TrainConfig.lr_sub
+    lr_floor: float = TrainConfig.lr_floor
     term: str = ""
     quiet: bool = False
     no_sam: bool = False
@@ -67,10 +67,7 @@ class RunConfig:
     offline: bool = False
 
     def ablations(self) -> Ablations:
-        return Ablations(no_sam=self.no_sam, no_z=self.no_z, no_kv=self.no_kv,
-                         no_pr=self.no_pr, no_fea=self.no_fea,
-                         no_cont=self.no_cont, no_cs=self.no_cs,
-                         offline=self.offline)
+        return Ablations(**{f.name: getattr(self, f.name) for f in fields(Ablations)})
 
     def to_train_config(self) -> TrainConfig:
         return TrainConfig(lr_main=self.lr_main, lr_sub=self.lr_sub,
@@ -95,12 +92,12 @@ def _coerce(key: str, raw: str):
             return True
         if low in _FALSE:
             return False
-        raise UsageError(f"config key {key!r} expects a boolean, got {raw!r}")
+        raise UsageError(f"setting {key!r} expects a boolean, got {raw!r}")
     try:
         return kind(raw)
     except ValueError:
         raise UsageError(
-            f"config key {key!r} expects {kind.__name__}, got {raw!r}") from None
+            f"setting {key!r} expects {kind.__name__}, got {raw!r}") from None
 
 
 def parse_config_text(text: str) -> dict:
@@ -136,6 +133,13 @@ def resolve(args: argparse.Namespace) -> RunConfig:
         overlay[key] = val
     for key, val in overlay.items():
         setattr(cfg, key, val)
+    for key in ("seed", "synthetic"):
+        if getattr(cfg, key) < 0:
+            raise UsageError(f"{key} must be >= 0, got {getattr(cfg, key)}")
+    if cfg.command == "train":
+        cfg.to_train_config()  # raises ContractError on a bad training setting
+    elif cfg.command == "info":
+        cfg.ablations().variant()
     return cfg
 
 
@@ -287,8 +291,8 @@ def cmd_gradcheck(cfg: RunConfig) -> int:
 
 
 def cmd_info(cfg: RunConfig) -> int:
-    variant = Ablations(no_z=cfg.no_z, no_kv=cfg.no_kv, no_pr=cfg.no_pr).variant()
-    teacher = TeacherNet(TeacherConfig(variant=variant), seed=cfg.seed + 1)
+    teacher = TeacherNet(TeacherConfig(variant=cfg.ablations().variant()),
+                         seed=cfg.seed + 1)
     student = StudentNet(StudentConfig(), seed=cfg.seed + 2)
     for label, net in (("main", teacher), ("sub", student)):
         for name, t in net.named_parameters():
@@ -321,17 +325,38 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key=value config file")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--quiet", action="store_true")
+def _flag_type(key: str):
+    """argparse `type=` for one setting: the same coercion as a config line."""
+    def coerce(raw: str):
+        try:
+            return _coerce(key, raw)
+        except UsageError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return coerce
 
 
-def _add_ablation_flags(p: argparse.ArgumentParser) -> None:
-    for flag in ("no-sam", "no-z", "no-kv", "no-pr",
-                 "no-fea", "no-cont", "no-cs", "offline"):
-        p.add_argument(f"--{flag}", action="store_true")
+_ABLATION_KEYS = tuple(f.name for f in fields(Ablations))
+_COMMON_KEYS = ("out", "seed", "quiet")
+# subcommand -> (handler, help, the RunConfig keys it takes besides
+# _COMMON_KEYS); every flag is --key-with-dashes
+_COMMANDS = {
+    "train": (cmd_train, "alternating teacher/student optimization",
+              ("data", "synthetic", "steps", "epochs", "pretrain_epochs", "batch",
+               "crop", "lr_main", "lr_sub", "lr_floor") + _ABLATION_KEYS),
+    "fuse": (cmd_fuse, "student-only inference", ("data", "ckpt")),
+    "eval": (cmd_eval, "fusion metrics over fused/source triples", ("data", "fused")),
+    "gradcheck": (cmd_gradcheck, "finite-difference verification suite", ("term",)),
+    "info": (cmd_info, "parameter counts and feature shapes", _ABLATION_KEYS),
+}
+_FLAG_HELP = {
+    "data": {"help": "directory of <stem>.vis.pgm/.ir.pgm pairs"},
+    "synthetic": {"metavar": "N",
+                  "help": "train on N seeded synthetic pairs instead of --data"},
+    "out": {"help": "output directory"},
+    "ckpt": {"help": "checkpoint file or its directory"},
+    "fused": {"help": "directory of <stem>.fused images"},
+    "term": {"help": "run a single named check"},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -339,54 +364,18 @@ def build_parser() -> argparse.ArgumentParser:
                      description="semantic-prior fusion pipeline")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
-
-    train = sub.add_parser("train", argument_default=argparse.SUPPRESS,
-                           help="alternating teacher/student optimization")
-    train.add_argument("--data", help="directory of <stem>.vis.pgm/.ir.pgm pairs")
-    train.add_argument("--synthetic", type=int, metavar="N",
-                       help="train on N seeded synthetic pairs instead of --data")
-    train.add_argument("--steps", type=int)
-    train.add_argument("--epochs", type=int)
-    train.add_argument("--pretrain-epochs", type=int, dest="pretrain_epochs")
-    train.add_argument("--batch", type=int)
-    train.add_argument("--crop", type=int)
-    train.add_argument("--lr-main", type=float, dest="lr_main")
-    train.add_argument("--lr-sub", type=float, dest="lr_sub")
-    train.add_argument("--lr-floor", type=float, dest="lr_floor")
-    _add_ablation_flags(train)
-    _add_common(train)
-
-    fuse = sub.add_parser("fuse", argument_default=argparse.SUPPRESS,
-                          help="student-only inference")
-    fuse.add_argument("--data")
-    fuse.add_argument("--ckpt", help="checkpoint file or its directory")
-    _add_common(fuse)
-
-    evl = sub.add_parser("eval", argument_default=argparse.SUPPRESS,
-                         help="fusion metrics over fused/source triples")
-    evl.add_argument("--data")
-    evl.add_argument("--fused", help="directory of <stem>.fused images")
-    _add_common(evl)
-
-    grad = sub.add_parser("gradcheck", argument_default=argparse.SUPPRESS,
-                          help="finite-difference verification suite")
-    grad.add_argument("--term", help="run a single named check")
-    _add_common(grad)
-
-    info = sub.add_parser("info", argument_default=argparse.SUPPRESS,
-                          help="parameter counts and feature shapes")
-    _add_ablation_flags(info)
-    _add_common(info)
+    for command, (_handler, help_text, keys) in _COMMANDS.items():
+        p = sub.add_parser(command, argument_default=argparse.SUPPRESS,
+                           help=help_text)
+        p.add_argument("--config", help="key=value config file")
+        for key in keys + _COMMON_KEYS:
+            if _TYPES[key] is bool:
+                kind = {"action": "store_true"}
+            else:
+                kind = {"type": _flag_type(key)}
+            p.add_argument("--" + key.replace("_", "-"), **kind,
+                           **_FLAG_HELP.get(key, {}))
     return parser
-
-
-_DISPATCH = {
-    "train": cmd_train,
-    "fuse": cmd_fuse,
-    "eval": cmd_eval,
-    "gradcheck": cmd_gradcheck,
-    "info": cmd_info,
-}
 
 
 def main(argv=None) -> int:
@@ -395,7 +384,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         cfg = resolve(args)
         _echo(cfg)
-        return _DISPATCH[cfg.command](cfg)
+        return _COMMANDS[cfg.command][0](cfg)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .attention import AttentionParams, build_repository, attention_stage
+from .attention import VARIANTS, AttentionParams, build_repository, attention_stage
 from .autodiff import Tensor
 from .errors import CheckpointError, ContractError, ShapeError
 
@@ -40,7 +40,7 @@ class TeacherConfig:
         if self.heads * self.head_dim != self.token_width:
             raise ContractError(
                 f"token_width {self.token_width} != heads {self.heads} x head_dim {self.head_dim}")
-        if self.variant not in ("full", "no_z", "no_kv", "no_pr"):
+        if self.variant not in VARIANTS:
             raise ContractError(f"unknown attention variant {self.variant!r}")
         if self.stages < 1:
             raise ContractError("need at least one attention stage")
@@ -55,7 +55,7 @@ class StudentConfig:
     tap_width: int = 32            # adapter output channels, matches teacher token_width
 
 
-def _kaiming_conv(rng: np.random.Generator, c_out: int, c_in: int, k: int) -> np.ndarray:
+def kaiming_conv(rng: np.random.Generator, c_out: int, c_in: int, k: int) -> np.ndarray:
     bound = np.sqrt(6.0 / (c_in * k * k))
     return rng.uniform(-bound, bound, size=(c_out, c_in, k, k))
 
@@ -67,7 +67,7 @@ class ParamModule:
         self._params: dict[str, Tensor] = {}
 
     def _conv(self, rng, name: str, c_out: int, c_in: int, k: int) -> tuple[Tensor, Tensor]:
-        w = Tensor(_kaiming_conv(rng, c_out, c_in, k), requires_grad=True, name=f"{name}.w")
+        w = Tensor(kaiming_conv(rng, c_out, c_in, k), requires_grad=True, name=f"{name}.w")
         b = Tensor(np.zeros(c_out), requires_grad=True, name=f"{name}.b")
         self._params[w.name] = w
         self._params[b.name] = b
@@ -259,7 +259,7 @@ def save_checkpoint(path, net: ParamModule) -> None:
 
 
 def load_checkpoint(path, net: ParamModule) -> None:
-    """Restore parameters in place; the net must match the checkpoint's config."""
+    """Restore parameters in place, all or none; the net must match the checkpoint's config."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:8] != MAGIC:
@@ -268,6 +268,7 @@ def load_checkpoint(path, net: ParamModule) -> None:
     if digest != net.config_digest():
         raise CheckpointError("checkpoint config digest does not match this network")
     pos = 40
+    loaded = []
 
     def take(size: int, what: str) -> bytes:
         nonlocal pos
@@ -290,6 +291,11 @@ def load_checkpoint(path, net: ParamModule) -> None:
             raise CheckpointError(f"shape mismatch for {name}: {shape} vs {t.data.shape}")
         n = int(np.prod(shape)) if shape else 1
         data = take(8 * n, f"the data of {name}")
-        t.data = np.frombuffer(data, dtype="<f8").reshape(shape).astype(np.float64)
+        arr = np.frombuffer(data, dtype="<f8").reshape(shape).astype(np.float64)
+        if not np.all(np.isfinite(arr)):
+            raise CheckpointError(f"non-finite values in parameter {name}")
+        loaded.append((t, arr))
     if pos != len(blob):
         raise CheckpointError(f"{len(blob) - pos} trailing bytes after last parameter")
+    for t, arr in loaded:
+        t.data = arr

@@ -19,6 +19,7 @@ from .autodiff import Tensor
 from .errors import ContractError
 from .imageio import quantize
 from .instrumentation import bump
+from .networks import kaiming_conv
 
 log = logging.getLogger(__name__)
 
@@ -153,11 +154,6 @@ def make_patches(img: np.ndarray, masks: MaskSet) -> PatchSet:
     return PatchSet([img * m for m in masks.masks], masks.source_modality)
 
 
-def _kaiming_conv(rng: np.random.Generator, c_out: int, c_in: int, k: int) -> np.ndarray:
-    bound = np.sqrt(6.0 / (c_in * k * k))
-    return rng.uniform(-bound, bound, size=(c_out, c_in, k, k))
-
-
 class FrozenEncoder:
     """Three strided conv layers with fixed seeded weights.
 
@@ -173,7 +169,7 @@ class FrozenEncoder:
         self.weights = []
         c_in = 1
         for c_out in self.CHANNELS:
-            self.weights.append(Tensor(_kaiming_conv(rng, c_out, c_in, 3),
+            self.weights.append(Tensor(kaiming_conv(rng, c_out, c_in, 3),
                                        name=f"frozen_enc.conv{len(self.weights)}"))
             c_in = c_out
 
@@ -199,8 +195,8 @@ class SegmentationStub:
             raise ContractError(f"need at least 2 classes, got {n_classes}")
         rng = np.random.default_rng(seed)
         self.n_classes = n_classes
-        self.w1 = Tensor(_kaiming_conv(rng, 8, 1, 3), name="segstub.conv0")
-        self.w2 = Tensor(_kaiming_conv(rng, n_classes, 8, 3), name="segstub.conv1")
+        self.w1 = Tensor(kaiming_conv(rng, 8, 1, 3), name="segstub.conv0")
+        self.w2 = Tensor(kaiming_conv(rng, n_classes, 8, 3), name="segstub.conv1")
 
     def forward(self, x: Tensor) -> Tensor:
         """(1, H, W) -> (C, H, W) probabilities summing to 1 over classes."""

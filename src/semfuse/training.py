@@ -67,8 +67,10 @@ class TrainConfig:
     ablations: Ablations = field(default_factory=Ablations)
 
     def __post_init__(self):
-        if self.lr_main <= 0 or self.lr_sub <= 0 or self.lr_floor <= 0:
-            raise ContractError("learning rates must be positive")
+        for name in ("lr_main", "lr_sub", "lr_floor"):
+            lr = getattr(self, name)
+            if not (math.isfinite(lr) and lr > 0):
+                raise ContractError(f"{name} must be positive and finite, got {lr}")
         if self.lr_floor > min(self.lr_main, self.lr_sub):
             raise ContractError(
                 f"lr_floor {self.lr_floor} exceeds a peak learning rate")

@@ -1,18 +1,24 @@
 """Command surface: config resolution, artifacts, exit codes, decoupling."""
+import math
 import re
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semfuse import autodiff as ad
+from semfuse import cli
 from semfuse import losses as losses_mod
 from semfuse.autodiff import Tensor
-from semfuse.cli import EVAL_HEADER, RunConfig, UsageError, main, parse_config_text
+from semfuse.cli import (EVAL_HEADER, RunConfig, UsageError, build_parser, main,
+                         parse_config_text, resolve)
 from semfuse.data import load_pair, synth_pair, write_dataset
-from semfuse.errors import NonFiniteError
+from semfuse.errors import ContractError, NonFiniteError
 from semfuse.imageio import Image, load_image, save_image
 from semfuse.instrumentation import snapshot
 from semfuse.losses import CSV_HEADER, loss_context
@@ -82,6 +88,88 @@ class TestConfig:
     def test_missing_config_file_exits_1(self, capsys):
         rc, _, err = run(capsys, "info", "--config", "/definitely/not/here.cfg")
         assert rc == 1 and "config" in err
+
+
+ABLATION_FLAGS = {"--no-sam", "--no-z", "--no-kv", "--no-pr",
+                  "--no-fea", "--no-cont", "--no-cs", "--offline"}
+# every subcommand's own flags; --config, --out, --seed and --quiet come on top
+COMMAND_FLAGS = {
+    "train": {"--data", "--synthetic", "--steps", "--epochs", "--pretrain-epochs",
+              "--batch", "--crop", "--lr-main", "--lr-sub", "--lr-floor"} | ABLATION_FLAGS,
+    "info": ABLATION_FLAGS,
+    "fuse": {"--data", "--ckpt"},
+    "eval": {"--data", "--fused"},
+    "gradcheck": {"--term"},
+}
+FUZZ_VALUES = ["-1", "0", "1", "3", "16", "0.5", "nan", "inf", "1e999", "abc", ""]
+
+
+class TestSettings:
+    @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+    def test_each_command_has_exactly_its_flags(self, capsys, command):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        listed = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+        assert listed == COMMAND_FLAGS[command] | {
+            "--help", "--config", "--out", "--seed", "--quiet"}
+
+    @pytest.mark.parametrize("argv", [
+        ("train", "--synthetic", "2", "--seed", "-1"),
+        ("info", "--seed", "-1"),
+        ("gradcheck", "--seed", "-1"),
+        ("train", "--synthetic", "-1"),
+        ("train", "--synthetic", "2", "--lr-main", "nan"),
+        ("train", "--synthetic", "2", "--lr-sub", "inf"),
+        ("train", "--synthetic", "2", "--lr-floor", "nan"),
+    ])
+    def test_malformed_setting_exits_1_before_any_work(self, tmp_path, capsys,
+                                                       monkeypatch, argv):
+        def no_work(*_a, **_k):
+            raise AssertionError("work started before the settings were validated")
+        for name in ("synth_pair", "discover_pairs", "TeacherNet", "StudentNet",
+                     "build_suite"):
+            monkeypatch.setattr(cli, name, no_work)
+        out = tmp_path / "run"
+        rc, _, err = run(capsys, *argv, "--out", str(out))
+        key, value = argv[-2][2:].replace("-", "_"), argv[-1]
+        assert rc == 1 and err.startswith("error:"), err
+        assert key in err and value in err
+        assert not out.exists()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.one_of(
+        st.text(max_size=20),
+        st.builds("{}={}".format, st.sampled_from([f.name for f in fields(RunConfig)]),
+                  st.one_of(st.sampled_from(FUZZ_VALUES), st.text(max_size=8)))),
+        max_size=6).map("\n".join))
+    def test_config_text_parses_or_raises_usage_error(self, text):
+        try:
+            parsed = parse_config_text(text)
+        except UsageError:
+            return
+        assert isinstance(parsed, dict)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_argv_resolves_or_raises_a_typed_error(self, data):
+        command = data.draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+        pool = sorted(COMMAND_FLAGS[command] | {"--out", "--seed", "--quiet", "--bogus"})
+        argv = [command]
+        for _ in range(data.draw(st.integers(0, 5))):
+            flag = data.draw(st.sampled_from(pool))
+            argv.append(flag)
+            # a valued flag mostly gets its value; a missing one is a usage error
+            if flag not in ABLATION_FLAGS | {"--quiet"} and data.draw(st.integers(0, 9)):
+                argv.append(data.draw(st.sampled_from(FUZZ_VALUES)))
+        try:
+            cfg = resolve(build_parser().parse_args(argv))
+        except (UsageError, ContractError):
+            return
+        assert isinstance(cfg, RunConfig)
+        assert cfg.seed >= 0 and cfg.synthetic >= 0
+        if command == "train":
+            assert all(map(math.isfinite, (cfg.lr_main, cfg.lr_sub, cfg.lr_floor)))
+            cfg.to_train_config()
 
 
 def train_args(out, *extra):
@@ -214,6 +302,17 @@ class TestFuse:
             rc, _, err = run(capsys, "fuse", "--data", str(data), "--ckpt", str(ckpt),
                              "--out", str(tmp_path / "f"))
             assert rc == 1 and err.startswith("error:"), cut
+
+    def test_non_finite_checkpoint_exits_1(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        write_dataset(data, 1, h=16, w=16, seed=2)
+        student = StudentNet(StudentConfig(), seed=3)
+        name, t = student.named_parameters()[4]
+        t.data.flat[7] = np.nan
+        save_checkpoint(tmp_path / "sub.ckpt", student)
+        rc, _, err = run(capsys, "fuse", "--data", str(data),
+                         "--ckpt", str(tmp_path / "sub.ckpt"), "--out", str(tmp_path / "f"))
+        assert rc == 1 and err.startswith("error:") and name in err
 
     def test_deterministic_outputs(self, tmp_path, capsys, trained_student_dir):
         data = tmp_path / "data"

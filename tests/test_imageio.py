@@ -90,6 +90,23 @@ class TestRoundTrip:
         save_image(load_image(p), out)
         assert out.read_bytes() == blob
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([b"P5\n3 2\n255\n" + bytes(range(0, 60, 10)),
+                            b"P6\n2 1\n255\n" + bytes(range(0, 180, 30))]),
+           st.data())
+    def test_damaged_file_loads_or_raises_parse_error(self, tmp_path_factory, blob, data):
+        pos = data.draw(st.integers(0, len(blob) - 1))
+        if data.draw(st.booleans()):
+            blob = blob[:pos]
+        else:
+            blob = blob[:pos] + bytes([blob[pos] ^ data.draw(st.integers(1, 255))]) + blob[pos + 1:]
+        p = write_raw(tmp_path_factory.mktemp("fuzz"), "f.pnm", blob)
+        try:
+            img = load_image(p)
+        except PnmParseError:
+            return
+        assert isinstance(img, Image)
+
 
 class TestQuantization:
     def test_half_rounds_away_from_zero(self):

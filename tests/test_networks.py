@@ -1,6 +1,10 @@
 """Network shapes, parameter accounting, checkpoints, gradient flow."""
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semfuse import autodiff as ad
 from semfuse.autodiff import Tensor
@@ -211,6 +215,46 @@ class TestCheckpoints:
         p.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError):
             load_checkpoint(p, StudentNet(seed=13))
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_parameter_rejected(self, tmp_path, bad):
+        p = tmp_path / "t.ckpt"
+        net = StudentNet(SLIM_STUDENT, seed=16)
+        name, t = net.named_parameters()[2]
+        t.data.flat[5] = bad
+        save_checkpoint(p, net)
+        target = StudentNet(SLIM_STUDENT, seed=17)
+        before = [t.data.copy() for _, t in target.named_parameters()]
+        with pytest.raises(CheckpointError, match=re.escape(name)):
+            load_checkpoint(p, target)
+        # all or none: the parameters before the bad one stay as they were
+        for old, (_, t) in zip(before, target.named_parameters()):
+            assert np.array_equal(old, t.data)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_damaged_checkpoint_loads_finite_or_raises(self, tmp_path_factory, data):
+        p = tmp_path_factory.mktemp("ckpt") / "t.ckpt"
+        save_checkpoint(p, StudentNet(SLIM_STUDENT, seed=18))
+        blob = p.read_bytes()
+        pos = data.draw(st.integers(0, len(blob) - 1))
+        how = data.draw(st.sampled_from(["cut", "flip", "ones"]))
+        if how == "cut":
+            blob = blob[:pos]
+        elif how == "flip":
+            blob = blob[:pos] + bytes([blob[pos] ^ data.draw(st.integers(1, 255))]) + blob[pos + 1:]
+        else:
+            # a run of 0xff bytes over a float64's two high bytes makes a NaN
+            span = data.draw(st.integers(1, 8))
+            blob = blob[:pos] + b"\xff" * span + blob[pos + span:]
+        p.write_bytes(blob)
+        net = StudentNet(SLIM_STUDENT, seed=19)
+        try:
+            load_checkpoint(p, net)
+        except CheckpointError:
+            return
+        assert all(np.all(np.isfinite(t.data)) for _, t in net.named_parameters())
 
 
 class TestGradients:

@@ -1,5 +1,4 @@
 """Optimizer, schedules, alternation phases, and training dynamics."""
-import math
 import re
 
 import numpy as np
@@ -14,7 +13,7 @@ from semfuse.data import synth_pair
 from semfuse.errors import ContractError, NonFiniteError, TrainingAbort
 from semfuse.losses import CSV_HEADER, loss_seg
 from semfuse.networks import StudentConfig, StudentNet, TeacherConfig, TeacherNet
-from semfuse.priors import PriorProvider, make_patches, synth_labels
+from semfuse.priors import make_patches, synth_labels
 from semfuse.training import (Ablations, Adam, TrainConfig, alternate_train,
                               clip_global_norm, cosine_lr, diverged, frozen,
                               main_phase, make_state, pretrain,
