@@ -11,6 +11,7 @@ projections (attend against Z itself), or the repository entirely
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,9 +24,10 @@ from .instrumentation import bump
 VARIANTS = ("full", "no_z", "no_kv", "no_pr")
 
 
-def _kaiming_mat(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    bound = np.sqrt(6.0 / cols)
-    return rng.uniform(-bound, bound, size=(rows, cols))
+def kaiming(rng: np.random.Generator, *shape: int) -> np.ndarray:
+    """He-uniform weights of `shape`; the fan-in is the product of shape[1:]."""
+    bound = np.sqrt(6.0 / math.prod(shape[1:]))
+    return rng.uniform(-bound, bound, size=shape)
 
 
 class Linear:
@@ -33,7 +35,7 @@ class Linear:
 
     def __init__(self, rng: np.random.Generator, d_out: int, d_in: int, prefix: str,
                  bias: bool = True):
-        self.w = Tensor(_kaiming_mat(rng, d_out, d_in), requires_grad=True, name=f"{prefix}.w")
+        self.w = Tensor(kaiming(rng, d_out, d_in), requires_grad=True, name=f"{prefix}.w")
         self.b = Tensor(np.zeros((d_out, 1)), requires_grad=True, name=f"{prefix}.b") if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -103,6 +105,7 @@ def build_repository(f_src: Tensor, p: AttentionParams, variant: str = "full") -
     `no_z` keeps the raw source tokens as the latent matrix; `no_kv`
     degrades keys and values to the latent matrix itself.
     """
+    bump("attention")
     if variant not in ("full", "no_z", "no_kv"):
         raise ContractError(f"unknown repository variant {variant!r}")
     c, h, w = f_src.shape
@@ -172,7 +175,6 @@ def attention_stage(vis_feats: Tensor, ir_feats: Tensor,
     Returns (merged, vis_attended, ir_attended); the attended maps feed
     the next stage's queries.
     """
-    bump("attention")
     if vis_feats.shape != ir_feats.shape:
         raise ShapeError(f"modality features differ: {vis_feats.shape} vs {ir_feats.shape}")
     av = cross_attend(vis_feats, repo, p, "vis")

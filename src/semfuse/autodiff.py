@@ -9,6 +9,7 @@ differences in the test suite.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -155,6 +156,20 @@ def backward(root: Tensor, grad: Array | None = None) -> None:
             held = flow.get(id(parent))
             flow[id(parent)] = pg if held is None else held + pg
     # Anything left in `flow` is unreachable from the leaves; nothing to do.
+
+
+@contextmanager
+def frozen(tensors):
+    """Temporarily clear requires_grad; restores on exit even after errors."""
+    tensors = list(tensors)
+    saved = [t.requires_grad for t in tensors]
+    for t in tensors:
+        t.requires_grad = False
+    try:
+        yield
+    finally:
+        for t, flag in zip(tensors, saved):
+            t.requires_grad = flag
 
 
 def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:

@@ -124,7 +124,7 @@ def resolve(args: argparse.Namespace) -> RunConfig:
     if path is not None:
         try:
             text = Path(path).read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read config file {path}: {exc}") from exc
         overlay.update(parse_config_text(text))
     for key, val in vars(args).items():

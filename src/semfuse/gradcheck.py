@@ -14,7 +14,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, frozen
 
 REL_TOL = 1e-4
 FD_STEP = 1e-5
@@ -247,27 +247,25 @@ def check_scalar_fn(name: str,
 
     # Finite differences run with gradients disabled so the closures are
     # evaluated as plain numpy pipelines.
-    for _, t in params:
-        t.requires_grad = False
     result = CheckResult(name)
     try:
-        for pname, t in params:
-            flat = t.data.reshape(-1)
-            worst = 0.0
-            for c in _coords_for(f"{name}/{pname}", flat.size, n_coords, seed):
-                keep = flat[c]
-                flat[c] = keep + h
-                lp = build().item()
-                flat[c] = keep - h
-                lm = build().item()
-                flat[c] = keep
-                fd = (lp - lm) / (2.0 * h)
-                worst = max(worst, rel_err(float(auto[pname].reshape(-1)[c]), fd))
-            result.per_tensor[pname] = worst
-            result.worst = max(result.worst, worst)
+        with frozen(wrt.values()):
+            for pname, t in params:
+                flat = t.data.reshape(-1)
+                worst = 0.0
+                for c in _coords_for(f"{name}/{pname}", flat.size, n_coords, seed):
+                    keep = flat[c]
+                    flat[c] = keep + h
+                    lp = build().item()
+                    flat[c] = keep - h
+                    lm = build().item()
+                    flat[c] = keep
+                    fd = (lp - lm) / (2.0 * h)
+                    worst = max(worst, rel_err(float(auto[pname].reshape(-1)[c]), fd))
+                result.per_tensor[pname] = worst
+                result.worst = max(result.worst, worst)
     finally:
         for _, t in params:
-            t.requires_grad = True
             t.zero_grad()
     result.seconds = time.perf_counter() - t0
     return result

@@ -6,15 +6,16 @@ raw sums, which keeps magnitudes comparable across resolutions.
 """
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ContractError, ShapeError
-from .instrumentation import bump
 from .priors import FrozenEncoder, MaskSet
 
 COS_EPS = 1e-8
@@ -46,15 +47,12 @@ def loss_fea(dens: list, spas: list) -> Tensor:
         raise ContractError(
             f"feature lists must be non-empty and equal length, "
             f"got {len(dens)} and {len(spas)}")
-    total = None
     for i, (a, b) in enumerate(zip(dens, spas)):
         if a.data.shape != b.data.shape:
             raise ShapeError(
                 f"scale {i}: feature shapes differ, "
                 f"{a.data.shape} vs {b.data.shape}")
-        term = 1.0 - _cosine(a, b)
-        total = term if total is None else total + term
-    return total
+    return reduce(operator.add, [1.0 - _cosine(a, b) for a, b in zip(dens, spas)])
 
 
 def _check_image(t: Tensor, what: str) -> None:
@@ -89,12 +87,9 @@ def context_bundle(ref: Tensor, fus: Tensor, vis: Tensor, ir: Tensor) -> tuple:
     Returns summed (grad, mse).
     """
     imgs = (ref, fus, vis, ir)
-    g_total, m_total = None, None
-    for i, j in _BUNDLE_PAIRS:
-        g, m = loss_context(imgs[i], imgs[j])
-        g_total = g if g_total is None else g_total + g
-        m_total = m if m_total is None else m_total + m
-    return g_total, m_total
+    terms = [loss_context(imgs[i], imgs[j]) for i, j in _BUNDLE_PAIRS]
+    return (reduce(operator.add, [g for g, _ in terms]),
+            reduce(operator.add, [m for _, m in terms]))
 
 
 def _rms(t: Tensor) -> Tensor:
@@ -113,7 +108,6 @@ def loss_cs(fus: Tensor, ref: Tensor, vis: Tensor, ir: Tensor,
     ratios are summed. A modality whose union mask is empty contributes
     zero and raises a warning.
     """
-    bump("provider")
     for name, t in (("fused", fus), ("reference", ref),
                     ("visible", vis), ("infrared", ir)):
         _check_image(t, f"{name} image")
@@ -133,13 +127,11 @@ def loss_cs(fus: Tensor, ref: Tensor, vis: Tensor, ir: Tensor,
         ef = enc.forward(fus * mask)
         er = enc.forward(ref * mask)
         es = enc.forward(src * mask)
-        total = None
+        terms = []
         for f_l, r_l, s_l in zip(ef, er, es):
             num = _rms(f_l - r_l)
-            for anchor in (r_l, f_l):
-                term = ad.div(num, _rms(anchor - s_l) + CS_EPS)
-                total = term if total is None else total + term
-        out[modality] = total
+            terms += [ad.div(num, _rms(anchor - s_l) + CS_EPS) for anchor in (r_l, f_l)]
+        out[modality] = reduce(operator.add, terms)
     return out["ir"], out["vis"]
 
 

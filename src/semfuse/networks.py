@@ -14,13 +14,15 @@ exactly the input size.
 from __future__ import annotations
 
 import hashlib
+import operator
 import struct
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from . import autodiff as ad
-from .attention import VARIANTS, AttentionParams, build_repository, attention_stage
+from .attention import VARIANTS, AttentionParams, attention_stage, build_repository, kaiming
 from .autodiff import Tensor
 from .errors import CheckpointError, ContractError, ShapeError
 
@@ -55,19 +57,17 @@ class StudentConfig:
     tap_width: int = 32            # adapter output channels, matches teacher token_width
 
 
-def kaiming_conv(rng: np.random.Generator, c_out: int, c_in: int, k: int) -> np.ndarray:
-    bound = np.sqrt(6.0 / (c_in * k * k))
-    return rng.uniform(-bound, bound, size=(c_out, c_in, k, k))
-
-
 class ParamModule:
-    """Ordered named parameters; declaration order fixes the checkpoint layout."""
+    """Ordered named parameters; declaration order fixes the checkpoint layout.
+
+    A subclass sets KIND and `cfg`, which together give its config digest.
+    """
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
 
     def _conv(self, rng, name: str, c_out: int, c_in: int, k: int) -> tuple[Tensor, Tensor]:
-        w = Tensor(kaiming_conv(rng, c_out, c_in, k), requires_grad=True, name=f"{name}.w")
+        w = Tensor(kaiming(rng, c_out, c_in, k, k), requires_grad=True, name=f"{name}.w")
         b = Tensor(np.zeros(c_out), requires_grad=True, name=f"{name}.b")
         self._params[w.name] = w
         self._params[b.name] = b
@@ -88,7 +88,7 @@ class ParamModule:
             t.zero_grad()
 
     def config_digest(self) -> str:
-        raise NotImplementedError
+        return hashlib.sha256(f"{self.KIND}:{self.cfg}".encode()).hexdigest()
 
     def state_checksum(self) -> str:
         h = hashlib.sha256()
@@ -101,6 +101,11 @@ class ParamModule:
 def param_count(net: ParamModule) -> int:
     """Total trainable scalar count."""
     return sum(t.data.size for t in net.parameters())
+
+
+def _image(x) -> Tensor:
+    """A (1, H, W) tensor from an (H, W) array; a Tensor passes through."""
+    return x if isinstance(x, Tensor) else Tensor(np.asarray(x)[None])
 
 
 def _conv_block(x: Tensor, w: Tensor, b: Tensor, padding: int, stride: int = 1,
@@ -123,6 +128,8 @@ def dense_block(x: Tensor, layer_params: list[tuple[Tensor, Tensor]]) -> Tensor:
 
 class TeacherNet(ParamModule):
     """Fusion network with repository cross-attention over semantic patches."""
+
+    KIND = "teacher"
 
     def __init__(self, cfg: TeacherConfig = TeacherConfig(), seed: int = 0):
         super().__init__()
@@ -155,20 +162,14 @@ class TeacherNet(ParamModule):
     def _encode_patches(self, patches: list, which: str) -> Tensor:
         w1, b1 = (self.pvis1 if which == "vis" else self.pir1)
         w2, b2 = (self.pvis2 if which == "vis" else self.pir2)
-        total = None
-        for p in patches:
-            t = p if isinstance(p, Tensor) else Tensor(np.asarray(p)[None])
-            if t.data.ndim == 2:
-                t = ad.reshape(t, (1,) + t.shape)
-            f = _conv_block(_conv_block(t, w1, b1, padding=1), w2, b2, padding=1, stride=2)
-            total = f if total is None else total + f
-        return total
+        return reduce(operator.add, [
+            _conv_block(_conv_block(_image(p), w1, b1, padding=1), w2, b2, padding=1, stride=2)
+            for p in patches])
 
     def forward(self, vis, ir, patches_vis: list, patches_ir: list
                 ) -> tuple[Tensor, list[Tensor]]:
         """Fuse one pair. Returns (fused image (1, H, W), per-stage features)."""
-        vis = vis if isinstance(vis, Tensor) else Tensor(np.asarray(vis)[None])
-        ir = ir if isinstance(ir, Tensor) else Tensor(np.asarray(ir)[None])
+        vis, ir = _image(vis), _image(ir)
         if vis.shape != ir.shape:
             raise ShapeError(f"source shapes differ: {vis.shape} vs {ir.shape}")
         if not patches_vis and not patches_ir:
@@ -191,12 +192,11 @@ class TeacherNet(ParamModule):
         out = _conv_block(out, *self.dec2, padding=1, activate=False)
         return ad.sigmoid(out), feats
 
-    def config_digest(self) -> str:
-        return hashlib.sha256(f"teacher:{self.cfg}".encode()).hexdigest()
-
 
 class StudentNet(ParamModule):
     """Compact dense-block fusion network, runs without any prior machinery."""
+
+    KIND = "student"
 
     def __init__(self, cfg: StudentConfig = StudentConfig(), seed: int = 1):
         super().__init__()
@@ -218,8 +218,7 @@ class StudentNet(ParamModule):
 
     def forward(self, vis, ir) -> tuple[Tensor, list[Tensor]]:
         """Fuse one pair. Returns (fused image (1, H, W), per-block adapted features)."""
-        vis = vis if isinstance(vis, Tensor) else Tensor(np.asarray(vis)[None])
-        ir = ir if isinstance(ir, Tensor) else Tensor(np.asarray(ir)[None])
+        vis, ir = _image(vis), _image(ir)
         if vis.shape != ir.shape:
             raise ShapeError(f"source shapes differ: {vis.shape} vs {ir.shape}")
         cur = _conv_block(ad.concat([vis, ir], axis=0), *self.stem, padding=1)
@@ -230,9 +229,6 @@ class StudentNet(ParamModule):
             cur = _conv_block(blocked, *transition, padding=0)
         out = _conv_block(cur, *self.head, padding=1, activate=False)
         return ad.sigmoid(out), taps
-
-    def config_digest(self) -> str:
-        return hashlib.sha256(f"student:{self.cfg}".encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,11 @@ import numpy as np
 from scipy import ndimage
 
 from . import autodiff as ad
+from .attention import kaiming
 from .autodiff import Tensor
 from .errors import ContractError
 from .imageio import quantize
 from .instrumentation import bump
-from .networks import kaiming_conv
 
 log = logging.getLogger(__name__)
 
@@ -169,12 +169,13 @@ class FrozenEncoder:
         self.weights = []
         c_in = 1
         for c_out in self.CHANNELS:
-            self.weights.append(Tensor(kaiming_conv(rng, c_out, c_in, 3),
+            self.weights.append(Tensor(kaiming(rng, c_out, c_in, 3, 3),
                                        name=f"frozen_enc.conv{len(self.weights)}"))
             c_in = c_out
 
     def forward(self, x: Tensor) -> list[Tensor]:
         """All three per-layer feature maps of a (1, H, W) tensor."""
+        bump("provider")
         feats = []
         cur = x
         for w in self.weights:
@@ -183,7 +184,6 @@ class FrozenEncoder:
         return feats
 
     def encode_image(self, img: np.ndarray) -> list[np.ndarray]:
-        bump("provider")
         return [f.data for f in self.forward(Tensor(img[None]))]
 
 
@@ -195,11 +195,12 @@ class SegmentationStub:
             raise ContractError(f"need at least 2 classes, got {n_classes}")
         rng = np.random.default_rng(seed)
         self.n_classes = n_classes
-        self.w1 = Tensor(kaiming_conv(rng, 8, 1, 3), name="segstub.conv0")
-        self.w2 = Tensor(kaiming_conv(rng, n_classes, 8, 3), name="segstub.conv1")
+        self.w1 = Tensor(kaiming(rng, 8, 1, 3, 3), name="segstub.conv0")
+        self.w2 = Tensor(kaiming(rng, n_classes, 8, 3, 3), name="segstub.conv1")
 
     def forward(self, x: Tensor) -> Tensor:
         """(1, H, W) -> (C, H, W) probabilities summing to 1 over classes."""
+        bump("provider")
         h = ad.leaky_relu(ad.conv2d(x, self.w1, padding=1))
         logits = ad.conv2d(h, self.w2, padding=1)
         c, hh, ww = logits.shape
@@ -208,7 +209,6 @@ class SegmentationStub:
         return ad.reshape(probs, (c, hh, ww))
 
     def predict_image(self, img: np.ndarray) -> np.ndarray:
-        bump("provider")
         return self.forward(Tensor(img[None])).data
 
 

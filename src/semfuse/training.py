@@ -9,15 +9,16 @@ from __future__ import annotations
 
 import hashlib
 import math
-from contextlib import contextmanager
+import operator
 from dataclasses import dataclass, field
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
 from . import losses
-from .autodiff import Tensor
+from .autodiff import Tensor, frozen
 from .data import random_crop
 from .errors import ContractError, NonFiniteError, TrainingAbort
 from .losses import CSV_HEADER, LossBreakdown
@@ -80,6 +81,9 @@ class TrainConfig:
             raise ContractError("epoch counts must be >= 0")
         if self.steps is not None and self.steps < 1:
             raise ContractError(f"steps must be >= 1, got {self.steps}")
+        if self.steps is None and self.distill_epochs == 0:
+            raise ContractError(
+                "distill_epochs is 0 and steps is unset: the schedule has zero steps")
         if self.crop < 16:
             raise ContractError(f"crop must be >= 16, got {self.crop}")
         ab = self.ablations
@@ -151,20 +155,6 @@ def clip_global_norm(params, max_norm: float = CLIP_NORM) -> float:
     return norm
 
 
-@contextmanager
-def frozen(tensors):
-    """Temporarily clear requires_grad; restores on exit even after errors."""
-    tensors = list(tensors)
-    saved = [t.requires_grad for t in tensors]
-    for t in tensors:
-        t.requires_grad = False
-    try:
-        yield
-    finally:
-        for t, flag in zip(tensors, saved):
-            t.requires_grad = flag
-
-
 def diverged(prev_epoch_mean, cur_epoch_mean) -> bool:
     """True when the distillation loss grew past the epoch guard factor."""
     if prev_epoch_mean is None:
@@ -183,10 +173,6 @@ class TrainState:
     adam_m: Adam
     adam_s: Adam
     rng: np.random.Generator
-
-    @property
-    def enc(self):
-        return self.provider.encoder
 
     @property
     def stub(self):
@@ -242,7 +228,7 @@ def _sample_terms(state: TrainState, vis, ir, need_seg: bool) -> dict:
             "context", lambda: losses.context_bundle(ref, fus, vt, it_))
     if not ab.no_cs:
         out["cs_ir"], out["cs_vis"] = _guard(
-            "cs", lambda: losses.loss_cs(fus, ref, vt, it_, mv, mi, state.enc))
+            "cs", lambda: losses.loss_cs(fus, ref, vt, it_, mv, mi, state.provider.encoder))
     if need_seg:
         out["seg"] = _guard(
             "seg", lambda: losses.loss_seg(
@@ -254,66 +240,66 @@ def _sample_terms(state: TrainState, vis, ir, need_seg: bool) -> dict:
 
 def _batch_objective(state: TrainState, batch, need_seg: bool):
     """Mean loss terms over a batch: (total Tensor, float parts, mean gap)."""
-    sums = dict.fromkeys(_TERM_KEYS)
-    gaps = []
-    for vis, ir in batch:
-        terms = _sample_terms(state, vis, ir, need_seg)
-        gaps.append(terms.pop("gap"))
-        for key, t in terms.items():
-            if t is None:
-                continue
-            sums[key] = t if sums[key] is None else sums[key] + t
+    samples = [_sample_terms(state, vis, ir, need_seg) for vis, ir in batch]
+    gap = float(np.mean([terms.pop("gap") for terms in samples]))
+    # a term is ablated for the whole run, so it is None in every sample or in none
+    sums = {key: reduce(operator.add, [terms[key] for terms in samples])
+            for key in _TERM_KEYS if samples[0][key] is not None}
     inv = 1.0 / len(batch)
-    total = None
-    for key, t in sums.items():
-        if t is None:
-            continue
-        total = t if total is None else total + t
-    total = total * inv
+    total = reduce(operator.add, sums.values()) * inv
     # max with 0: every term is non-negative up to roundoff, and the log
     # rejects negative entries outright
-    parts = {key: (max(0.0, float(t.data) * inv) if t is not None else 0.0)
-             for key, t in sums.items()}
-    return total, parts, float(np.mean(gaps))
+    parts = {key: (max(0.0, float(sums[key].data) * inv) if key in sums else 0.0)
+             for key in _TERM_KEYS}
+    return total, parts, gap
 
 
 def _teacher_only_objective(state: TrainState, batch):
     """Source fidelity plus segmentation for the teacher alone."""
-    g_sum = m_sum = seg_sum = None
+    gs, ms, segs = [], [], []
     for vis, ir in batch:
         mv, mi, pv, pi = _priors(state, vis, ir)
         ref, _ = _guard("teacher-forward",
                         lambda: state.teacher.forward(vis, ir, pv, pi))
         for g, m in _source_context(ref, vis, ir):
-            g_sum = g if g_sum is None else g_sum + g
-            m_sum = m if m_sum is None else m_sum + m
-        seg = _guard("seg", lambda: losses.loss_seg(
-            state.stub.forward(ref), synth_labels(mv, mi, state.stub.n_classes)))
-        seg_sum = seg if seg_sum is None else seg_sum + seg
+            gs.append(g)
+            ms.append(m)
+        segs.append(_guard("seg", lambda: losses.loss_seg(
+            state.stub.forward(ref), synth_labels(mv, mi, state.stub.n_classes))))
+    g_sum, m_sum, seg_sum = (reduce(operator.add, ts) for ts in (gs, ms, segs))
     inv = 1.0 / len(batch)
     total = (g_sum + m_sum + seg_sum) * inv
     return total, float(g_sum.data) * inv, float(m_sum.data) * inv, float(seg_sum.data) * inv
 
 
+def _update(state: TrainState, net, lr: float, objective) -> tuple:
+    """One Adam update of `net` (the teacher or the student) with the other net frozen.
+
+    `objective()` returns a tuple whose first item is the scalar loss to
+    descend; that tuple is returned.
+    """
+    other, adam = ((state.student, state.adam_m) if net is state.teacher
+                   else (state.teacher, state.adam_s))
+    net.zero_grad()
+    with frozen(other.parameters()):
+        out = objective()
+        ad.backward(out[0])
+    clip_global_norm(net.parameters())
+    adam.step(lr)
+    return out
+
+
 def main_phase(state: TrainState, batch, lr: float):
     """One teacher update on the full objective; student untouched."""
-    state.teacher.zero_grad()
-    with frozen(state.student.parameters()):
-        total, parts, gap = _batch_objective(state, batch, need_seg=True)
-        ad.backward(total)
-    clip_global_norm(state.teacher.parameters())
-    state.adam_m.step(lr)
+    _, parts, gap = _update(state, state.teacher, lr,
+                            lambda: _batch_objective(state, batch, need_seg=True))
     return parts, gap
 
 
 def _distill(state: TrainState, batch, lr: float):
     """One student update on the distillation objective: (total, parts, gap)."""
-    state.student.zero_grad()
-    with frozen(state.teacher.parameters()):
-        total, parts, gap = _batch_objective(state, batch, need_seg=False)
-        ad.backward(total)
-    clip_global_norm(state.student.parameters())
-    state.adam_s.step(lr)
+    total, parts, gap = _update(state, state.student, lr,
+                                lambda: _batch_objective(state, batch, need_seg=False))
     return float(total.data), parts, gap
 
 
@@ -413,11 +399,8 @@ def _alternating_step(state: TrainState, batch, step: int, total: int):
 
 def _teacher_step(state: TrainState, batch, step: int, total: int):
     lr_m = cosine_lr(step, total, state.cfg.lr_main, state.cfg.lr_floor)
-    state.teacher.zero_grad()
-    total_t, g, m, seg = _teacher_only_objective(state, batch)
-    ad.backward(total_t)
-    clip_global_norm(state.teacher.parameters())
-    state.adam_m.step(lr_m)
+    _, g, m, seg = _update(state, state.teacher, lr_m,
+                           lambda: _teacher_only_objective(state, batch))
     return LossBreakdown.from_parts(step=step + 1, lr_main=lr_m, lr_sub=0.0, fea=0.0,
                                     grad=g, mse=m, cs_ir=0.0, cs_vis=0.0, seg=seg), None
 
@@ -442,8 +425,6 @@ def alternate_train(teacher: TeacherNet, student: StudentNet, pairs, cfg: TrainC
     state = make_state(teacher, student, cfg)
     total = cfg.steps if cfg.steps is not None else (
         cfg.distill_epochs * math.ceil(len(pairs) / cfg.batch))
-    if total < 1:
-        raise ContractError("schedule resolves to zero steps")
     report = TrainReport()
     passes = (_teacher_step, _student_step) if cfg.ablations.offline else (_alternating_step,)
     for update in passes:
@@ -467,16 +448,12 @@ def _student_out(state: TrainState, vis, ir) -> Tensor:
 
 
 def _pretrain_step(state: TrainState, batch, step: int, total: int) -> None:
-    for net, adam, forward in ((state.teacher, state.adam_m, _teacher_out),
-                               (state.student, state.adam_s, _student_out)):
-        net.zero_grad()
-        loss = None
-        for vis, ir in batch:
-            term = _source_loss(forward(state, vis, ir), vis, ir)
-            loss = term if loss is None else loss + term
-        ad.backward(loss * (1.0 / len(batch)))
-        clip_global_norm(net.parameters())
-        adam.step(PRETRAIN_LR)
+    for net, forward in ((state.teacher, _teacher_out), (state.student, _student_out)):
+        def objective():
+            loss = reduce(operator.add, [_source_loss(forward(state, vis, ir), vis, ir)
+                                         for vis, ir in batch])
+            return (loss * (1.0 / len(batch)),)
+        _update(state, net, PRETRAIN_LR, objective)
 
 
 def pretrain(teacher: TeacherNet, student: StudentNet, pairs, cfg: TrainConfig) -> None:

@@ -8,6 +8,7 @@ from semfuse.attention import (AttentionParams, PersistentRepository,
                                attention_stage, build_repository, cross_attend)
 from semfuse.errors import ContractError, ShapeError
 from semfuse.gradcheck import check_scalar_fn
+from semfuse.instrumentation import delta, snapshot
 
 D, HEADS, HEAD_DIM = 8, 2, 4
 
@@ -50,6 +51,11 @@ class TestRepository:
         repo = build_repository(rand_feats(6), p, variant="no_kv")
         assert repo.k is repo.z
         assert repo.v is repo.z
+
+    def test_build_counts_as_attention_work(self):
+        before = snapshot()
+        build_repository(rand_feats(1), make_params())
+        assert delta(before)["attention"] == 1
 
     def test_checksum_immutable_across_forward_backward(self):
         p = make_params(seed=7)

@@ -1,10 +1,12 @@
 """Command surface: config resolution, artifacts, exit codes, decoupling."""
 import math
+import os
 import re
 import shutil
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,6 +91,12 @@ class TestConfig:
         rc, _, err = run(capsys, "info", "--config", "/definitely/not/here.cfg")
         assert rc == 1 and "config" in err
 
+    def test_non_utf8_config_file_exits_1(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_bytes(b"seed=\xff\xfe\n")
+        rc, _, err = run(capsys, "info", "--config", str(cfgfile))
+        assert rc == 1 and err.startswith("error:") and str(cfgfile) in err
+
 
 ABLATION_FLAGS = {"--no-sam", "--no-z", "--no-kv", "--no-pr",
                   "--no-fea", "--no-cont", "--no-cs", "--offline"}
@@ -134,6 +142,20 @@ class TestSettings:
         key, value = argv[-2][2:].replace("-", "_"), argv[-1]
         assert rc == 1 and err.startswith("error:"), err
         assert key in err and value in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra", [(), ("--pretrain-epochs", "1")])
+    def test_zero_step_schedule_exits_1_before_any_work(self, tmp_path, capsys,
+                                                        monkeypatch, extra):
+        def no_work(*_a, **_k):
+            raise AssertionError("work started before the schedule was validated")
+        for name in ("synth_pair", "TeacherNet", "StudentNet", "pretrain"):
+            monkeypatch.setattr(cli, name, no_work)
+        out = tmp_path / "run"
+        rc, _, err = run(capsys, "train", "--synthetic", "2", "--epochs", "0",
+                         "--crop", "16", *extra, "--out", str(out))
+        assert rc == 1 and err.startswith("error:"), err
+        assert "epochs" in err and "steps" in err
         assert not out.exists()
 
     @settings(max_examples=150, deadline=None)
@@ -199,6 +221,27 @@ class TestTrain:
                           (out / "sub.ckpt").read_bytes(),
                           (out / "train.csv").read_bytes()))
         assert blobs[0] == blobs[1]
+
+    def test_artifacts_independent_of_hash_seed(self, tmp_path):
+        # the determinism promise: same numpy/BLAS build and BLAS thread
+        # count give the same bytes, whatever the interpreter's hash seed
+        src = str(Path(cli.__file__).resolve().parents[1])
+        results = []
+        for hash_seed in ("1", "2"):
+            out = tmp_path / f"h{hash_seed}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join(
+                           p for p in (src, os.environ.get("PYTHONPATH")) if p))
+            proc = subprocess.run(
+                [sys.executable, "-m", "semfuse", "train", "--synthetic", "3",
+                 "--steps", "2", "--batch", "2", "--crop", "16", "--seed", "3",
+                 "--quiet", "--out", str(out)],
+                capture_output=True, text=True, timeout=600, env=env)
+            assert proc.returncode == 0, proc.stderr
+            checksum = re.search(r"checksum=(\w+)$", proc.stdout, re.M).group(1)
+            results.append((checksum, *((out / name).read_bytes()
+                                        for name in ("train.csv", "main.ckpt", "sub.ckpt"))))
+        assert results[0] == results[1]
 
     def test_offline_completes_with_double_rows(self, tmp_path, capsys):
         out = tmp_path / "off"

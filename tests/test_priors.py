@@ -11,6 +11,7 @@ import pytest
 from semfuse.autodiff import Tensor
 from semfuse.errors import ContractError
 from semfuse.imageio import Image, save_image
+from semfuse.instrumentation import delta, snapshot
 from semfuse.priors import (ENCODER_SEED, SEGMENT_SEED, FrozenEncoder, MaskSet,
                             PriorProvider, SegmentationStub, generate_masks,
                             load_injected_masks, make_patches, otsu_threshold,
@@ -183,6 +184,16 @@ class TestFrozenEncoder:
         f1 = enc.encode_image(img * m1)
         f2 = enc.encode_image(img * m2)
         assert any(not np.allclose(a, b) for a, b in zip(f1, f2))
+
+
+@pytest.mark.parametrize("net", [FrozenEncoder(), SegmentationStub()],
+                         ids=["encoder", "segstub"])
+def test_frozen_forward_counts_as_provider_work(net):
+    # fuse proves it never runs the provider by this counter, so the
+    # forward pass itself must move it, not only the numpy helpers
+    before = snapshot()
+    net.forward(Tensor(np.zeros((1, 8, 8))))
+    assert delta(before)["provider"] == 1
 
 
 class TestSegmentationStub:
