@@ -1,11 +1,12 @@
 """Dense float64 tensors with reverse-mode differentiation.
 
 Covers exactly what the fusion pipeline needs: broadcasting elementwise
-arithmetic, 2-d matmul, strided conv2d, row softmax, a Sobel filter and
-the usual pointwise nonlinearities. Every operation records its inputs
-and a hand-written backward rule; ``backward`` replays the records in
-reverse topological order. The rules are verified against central finite
-differences in the test suite.
+arithmetic, 2-d matmul, strided conv2d (over one map or a channel stack
+of maps), row softmax, a Sobel filter and the usual pointwise
+nonlinearities. Every operation records its inputs and a hand-written
+backward rule; ``backward`` replays the records in reverse topological
+order. The rules are verified against central finite differences in the
+test suite.
 """
 from __future__ import annotations
 
@@ -484,11 +485,23 @@ def softmax_rows(a) -> Tensor:
 # convolution
 
 
-def _im2col(xp: Array, k: int, stride: int, ho: int, wo: int) -> Array:
-    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
-    win = win[:, ::stride, ::stride, :, :]
-    return np.ascontiguousarray(
-        win.transpose(0, 3, 4, 1, 2).reshape(xp.shape[0] * k * k, ho * wo))
+def _im2col(xp: Array, k: int, stride: int, ho: int, wo: int, out: Array | None = None) -> Array:
+    """Columns of padded `xp`: row (c, di, dj) holds xp[c, di + stride*i, dj + stride*j].
+
+    Each of the k*k shifted slices is copied straight into `out`, which
+    must be a contiguous (C*k*k, ho*wo) array; one is allocated if absent.
+    A 1x1 stride-1 window is `xp` itself, so it comes back as a view.
+    """
+    c = xp.shape[0]
+    if out is None:
+        if k == 1 and stride == 1:
+            return xp.reshape(c, ho * wo)
+        out = np.empty((c * k * k, ho * wo))
+    view = out.reshape(c, k, k, ho, wo)
+    for di in range(k):
+        for dj in range(k):
+            view[:, di, dj] = xp[:, di:di + stride * ho:stride, dj:dj + stride * wo:stride]
+    return out
 
 
 def _col2im(gcols: Array, c: int, hp: int, wp: int, k: int, stride: int,
@@ -501,42 +514,98 @@ def _col2im(gcols: Array, c: int, hp: int, wp: int, k: int, stride: int,
     return gx
 
 
-def conv2d(x, w, padding: int = 0, stride: int = 1) -> Tensor:
+class Columns:
+    """One im2col buffer for a growing stack of feature maps, owned by its caller.
+
+    Successive `conv2d` calls pass part lists that extend one another (a
+    dense block's f0, then f0 f1, ...). Each part's rows are written once,
+    the first time a call sees it, below the rows of the parts before it;
+    a call reads the top rows its parts cover, which is exactly the im2col
+    of their channel concatenation. `channels` bounds the whole stack.
+    """
+
+    __slots__ = ("channels", "data", "parts", "geometry")
+
+    def __init__(self, channels: int):
+        self.channels = channels
+        self.data: Array | None = None
+        self.parts: list[Tensor] = []
+        self.geometry: tuple | None = None
+
+    def fill(self, parts: list[Tensor], k: int, padding: int, stride: int,
+             ho: int, wo: int) -> Array:
+        geometry = (parts[0].data.shape[1:], k, padding, stride)
+        if self.data is None:
+            self.data = np.empty((self.channels * k * k, ho * wo))
+            self.geometry = geometry
+        if geometry != self.geometry or any(a is not b for a, b in zip(self.parts, parts)):
+            raise ContractError("column buffer reused with another geometry or part list")
+        need = sum(p.data.shape[0] for p in parts) * k * k
+        if need > self.data.shape[0]:
+            raise ShapeError(f"column buffer holds {self.channels} channels, "
+                             f"parts need {need // (k * k)}")
+        row = sum(p.data.shape[0] for p in self.parts) * k * k
+        for p in parts[len(self.parts):]:
+            end = row + p.data.shape[0] * k * k
+            _im2col(_pad(p.data, padding), k, stride, ho, wo, out=self.data[row:end])
+            self.parts.append(p)
+            row = end
+        return self.data[:need]
+
+
+def _pad(x: Array, padding: int) -> Array:
+    return np.pad(x, ((0, 0), (padding, padding), (padding, padding))) if padding else x
+
+
+def conv2d(x, w, padding: int = 0, stride: int = 1, cols: Columns | None = None) -> Tensor:
     """2-d cross-correlation of (C_in, H, W) with (C_out, C_in, k, k).
 
-    Zero padding; output side is (H + 2*padding - k) // stride + 1. The
-    kernel must be square with odd side.
+    `x` may also be a list of (C_i, H, W) tensors, read as their channel
+    concatenation; `cols` then lets calls over a growing list share one
+    column buffer (see `Columns`). Zero padding; output side is
+    (H + 2*padding - k) // stride + 1. The kernel must be square with odd
+    side.
     """
-    x, w = _as_tensor(x), _as_tensor(w)
-    if x.data.ndim != 3 or w.data.ndim != 4:
-        raise ShapeError(f"conv2d needs (C,H,W) x (O,C,k,k), got {x.data.shape} and {w.data.shape}")
-    cin, h, wd = x.data.shape
+    parts = [_as_tensor(p) for p in x] if isinstance(x, (list, tuple)) else [_as_tensor(x)]
+    w = _as_tensor(w)
+    shapes = [p.data.shape for p in parts]
+    if not parts or any(len(s) != 3 for s in shapes) or w.data.ndim != 4:
+        raise ShapeError(f"conv2d needs (C,H,W) x (O,C,k,k), got {shapes} and {w.data.shape}")
+    if any(s[1:] != shapes[0][1:] for s in shapes):
+        raise ShapeError(f"conv2d parts differ in spatial size: {shapes}")
+    cin, h, wd = sum(s[0] for s in shapes), shapes[0][1], shapes[0][2]
     cout, cin_w, k, k2 = w.data.shape
     if k != k2 or k % 2 == 0:
         raise ShapeError(f"conv2d kernel must be square with odd side, got {w.data.shape}")
     if cin != cin_w:
-        raise ShapeError(f"conv2d channel mismatch: input {x.data.shape} vs kernel {w.data.shape}")
+        raise ShapeError(f"conv2d channel mismatch: input {(cin, h, wd)} vs kernel {w.data.shape}")
     if padding < 0 or stride < 1:
         raise ContractError(f"conv2d invalid padding={padding} stride={stride}")
     ho = (h + 2 * padding - k) // stride + 1
     wo = (wd + 2 * padding - k) // stride + 1
     if ho < 1 or wo < 1:
-        raise ShapeError(f"conv2d output would be empty for input {x.data.shape}, "
+        raise ShapeError(f"conv2d output would be empty for input {(cin, h, wd)}, "
                          f"kernel {w.data.shape}, padding {padding}, stride {stride}")
-    xp = np.pad(x.data, ((0, 0), (padding, padding), (padding, padding))) if padding else x.data
-    cols = _im2col(xp, k, stride, ho, wo)
+    if cols is None and len(parts) == 1:
+        mat = _im2col(_pad(parts[0].data, padding), k, stride, ho, wo)
+    else:
+        mat = (cols if cols is not None else Columns(cin)).fill(parts, k, padding, stride, ho, wo)
     w2 = w.data.reshape(cout, cin * k * k)
-    out = (w2 @ cols).reshape(cout, ho, wo)
-    hp, wp = xp.shape[1], xp.shape[2]
+    out = (w2 @ mat).reshape(cout, ho, wo)
+    hp, wp = h + 2 * padding, wd + 2 * padding
 
     def back(g):
         g2 = g.reshape(cout, ho * wo)
-        gw = (g2 @ cols.T).reshape(w.data.shape)
-        gxp = _col2im(w2.T @ g2, cin, hp, wp, k, stride, ho, wo)
-        gx = gxp[:, padding:padding + h, padding:padding + wd] if padding else gxp
-        return gx, gw
+        gw = (g2 @ mat.T).reshape(w.data.shape)
+        gcols = w2.T @ g2
+        grads, row = [], 0
+        for c, _, _ in shapes:
+            gxp = _col2im(gcols[row:row + c * k * k], c, hp, wp, k, stride, ho, wo)
+            grads.append(gxp[:, padding:padding + h, padding:padding + wd] if padding else gxp)
+            row += c * k * k
+        return (*grads, gw)
 
-    return _from_op(out, (x, w), back)
+    return _from_op(out, (*parts, w), back)
 
 
 def _sobel_core(xp: Tensor, h: int, w: int) -> Tensor:

@@ -108,21 +108,26 @@ def _image(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x)[None])
 
 
-def _conv_block(x: Tensor, w: Tensor, b: Tensor, padding: int, stride: int = 1,
-                activate: bool = True) -> Tensor:
-    out = ad.conv2d(x, w, padding=padding, stride=stride) + ad.reshape(b, (b.size, 1, 1))
+def _conv_block(x: Tensor | list[Tensor], w: Tensor, b: Tensor, padding: int, stride: int = 1,
+                activate: bool = True, cols: ad.Columns | None = None) -> Tensor:
+    out = ad.conv2d(x, w, padding=padding, stride=stride, cols=cols)
+    out = out + ad.reshape(b, (b.size, 1, 1))
     return ad.leaky_relu(out, LEAKY_SLOPE) if activate else out
 
 
 def dense_block(x: Tensor, layer_params: list[tuple[Tensor, Tensor]]) -> Tensor:
     """Densely connected conv layers: each consumes every prior feature map.
 
-    Output channels = input channels + growth * len(layer_params).
+    Each layer convolves the list of prior maps through one column buffer,
+    so every map is im2col'd once, not once per later layer; only the
+    block output is concatenated. Output channels = input channels +
+    growth * len(layer_params).
     """
     feats = [x]
+    # the last layer reads every map but its own output
+    cols = ad.Columns(x.shape[0] + sum(w.shape[0] for w, _ in layer_params[:-1]))
     for w, b in layer_params:
-        cur = feats[0] if len(feats) == 1 else ad.concat(feats, axis=0)
-        feats.append(_conv_block(cur, w, b, padding=1))
+        feats.append(_conv_block(feats, w, b, padding=1, cols=cols))
     return ad.concat(feats, axis=0)
 
 

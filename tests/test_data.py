@@ -4,7 +4,7 @@ import pytest
 
 from semfuse.data import discover_pairs, load_pair, random_crop, synth_pair, write_dataset
 from semfuse.errors import ContractError
-from semfuse.imageio import Image, load_image, quantize, save_image
+from semfuse.imageio import Image, quantize, save_image
 
 
 class TestSynthPair:

@@ -98,6 +98,36 @@ class TestDenseBlock:
         assert out.shape == (c0 + 3 * g, 6, 6)
         assert np.array_equal(out.data[:c0], x.data)    # input concatenated through
 
+    @staticmethod
+    def concat_per_layer(x, layer_params):
+        """The block as first written: every layer convolves a fresh concat."""
+        feats = [x]
+        for w, b in layer_params:
+            cur = feats[0] if len(feats) == 1 else ad.concat(feats, axis=0)
+            out = ad.conv2d(cur, w, padding=1) + ad.reshape(b, (b.size, 1, 1))
+            feats.append(ad.leaky_relu(out, 0.2))
+        return ad.concat(feats, axis=0)
+
+    def test_bytes_equal_concat_per_layer(self):
+        rng = np.random.default_rng(3)
+        c0, g = 5, 3
+        x = Tensor(rng.normal(size=(c0, 7, 9)), requires_grad=True)
+        layers = [(Tensor(rng.normal(size=(g, c0 + g * j, 3, 3)) * 0.3, requires_grad=True),
+                   Tensor(rng.normal(size=g) * 0.1, requires_grad=True)) for j in range(4)]
+        leaves = [x] + [t for pair in layers for t in pair]
+        coef = rng.normal(size=(c0 + 4 * g, 7, 9))
+        results = []
+        for block in (self.concat_per_layer, dense_block):
+            for t in leaves:
+                t.zero_grad()
+            out = block(x, layers)
+            ad.tsum(ad.mul(ad.square(out), coef)).backward()
+            results.append([out.data] + [t.grad for t in leaves])
+        want, got = results
+        assert len(got) == len(want) == 10
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
 
 class TestParamCount:
     def test_tiny_conv_example(self):
