@@ -97,9 +97,6 @@ class Tensor:
     def __neg__(self):
         return neg(self)
 
-    def __pow__(self, p):
-        return powi(self, p)
-
 
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)

@@ -23,8 +23,8 @@ from .gradcheck import build_suite
 from .imageio import Image, load_image, rgb_to_ycbcr, save_image, ycbcr_to_rgb
 from .instrumentation import delta, snapshot
 from .metrics import evaluate_triple
-from .networks import (StudentConfig, StudentNet, TeacherConfig, TeacherNet,
-                       load_checkpoint, param_count, save_checkpoint)
+from .networks import (StudentNet, TeacherConfig, TeacherNet, load_checkpoint,
+                       param_count, save_checkpoint)
 from .priors import PriorProvider, make_patches
 from .training import (Ablations, TrainConfig, alternate_train, frozen,
                        pretrain)
@@ -178,7 +178,7 @@ def cmd_train(cfg: RunConfig) -> int:
     train_cfg = cfg.to_train_config()
     teacher = TeacherNet(TeacherConfig(variant=train_cfg.ablations.variant()),
                          seed=cfg.seed + 1)
-    student = StudentNet(StudentConfig(), seed=cfg.seed + 2)
+    student = StudentNet(seed=cfg.seed + 2)
     if train_cfg.pretrain_epochs:
         pretrain(teacher, student, pairs, train_cfg)
     report = alternate_train(teacher, student, pairs, train_cfg,
@@ -209,7 +209,7 @@ def cmd_fuse(cfg: RunConfig) -> int:
     if not cfg.data:
         raise UsageError("fuse needs --data DIR with paired sources")
     ckpt = _resolve_checkpoint(cfg)
-    student = StudentNet(StudentConfig(), seed=0)
+    student = StudentNet(seed=0)
     load_checkpoint(ckpt, student)
     entries = discover_pairs(cfg.data)
     out = Path(cfg.out)
@@ -293,7 +293,7 @@ def cmd_gradcheck(cfg: RunConfig) -> int:
 def cmd_info(cfg: RunConfig) -> int:
     teacher = TeacherNet(TeacherConfig(variant=cfg.ablations().variant()),
                          seed=cfg.seed + 1)
-    student = StudentNet(StudentConfig(), seed=cfg.seed + 2)
+    student = StudentNet(seed=cfg.seed + 2)
     for label, net in (("main", teacher), ("sub", student)):
         for name, t in net.named_parameters():
             print(f"{label} {name} {t.data.size}")
@@ -385,12 +385,10 @@ def main(argv=None) -> int:
         cfg = resolve(args)
         _echo(cfg)
         return _COMMANDS[cfg.command][0](cfg)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (TrainingAbort, NonFiniteError) as exc:
+        # first: NonFiniteError is a ContractError
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 2
-    except (ContractError, CheckpointError, PnmParseError, OSError) as exc:
+    except (UsageError, ContractError, CheckpointError, PnmParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

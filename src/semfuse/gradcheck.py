@@ -30,7 +30,6 @@ class CheckResult:
     name: str
     worst: float = 0.0
     per_tensor: dict[str, float] = field(default_factory=dict)
-    seconds: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -234,8 +233,6 @@ def check_scalar_fn(name: str,
     disconnected tensor has zero analytic gradient but its FD estimate is
     pure rounding noise, which the relative-error criterion rejects.
     """
-    import time
-    t0 = time.perf_counter()
     params = list(wrt.items())
     for _, t in params:
         t.requires_grad = True
@@ -267,5 +264,4 @@ def check_scalar_fn(name: str,
     finally:
         for _, t in params:
             t.zero_grad()
-    result.seconds = time.perf_counter() - t0
     return result

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import operator
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from functools import reduce
 
 import numpy as np
@@ -21,9 +21,6 @@ from .priors import FrozenEncoder, MaskSet
 COS_EPS = 1e-8
 CS_EPS = 1e-8
 PROB_FLOOR = 1e-12
-
-CSV_HEADER = ("step,lr_main,lr_sub,fea,grad,mse,context,"
-              "cs_ir,cs_vis,cs,seg,total_sub,total_main")
 
 
 def _cosine(a: Tensor, b: Tensor) -> Tensor:
@@ -159,43 +156,53 @@ def loss_seg(probs: Tensor, labels: np.ndarray) -> Tensor:
     return ad.tmean(-ad.log(ad.clamp_min(picked, PROB_FLOOR)))
 
 
+_TERM = {"term": True}
+
+
 @dataclass(frozen=True)
 class LossBreakdown:
-    """One training step's loss components, CSV-serializable."""
+    """One training step's loss components, CSV-serializable.
+
+    The six fields marked as terms are the per-step batch means that
+    training logs; context, cs and the totals are sums of them.
+    """
 
     step: int
     lr_main: float
     lr_sub: float
-    fea: float
-    grad: float
-    mse: float
+    fea: float = field(metadata=_TERM)
+    grad: float = field(metadata=_TERM)
+    mse: float = field(metadata=_TERM)
     context: float
-    cs_ir: float
-    cs_vis: float
+    cs_ir: float = field(metadata=_TERM)
+    cs_vis: float = field(metadata=_TERM)
     cs: float
-    seg: float
+    seg: float = field(metadata=_TERM)
     total_sub: float
     total_main: float
 
     @classmethod
     def from_parts(cls, step: int, lr_main: float, lr_sub: float,
-                   fea: float, grad: float, mse: float,
-                   cs_ir: float, cs_vis: float, seg: float) -> "LossBreakdown":
-        parts = {"fea": fea, "grad": grad, "mse": mse,
-                 "cs_ir": cs_ir, "cs_vis": cs_vis, "seg": seg}
+                   **terms: float) -> "LossBreakdown":
+        """Derive the sums from any subset of the terms; an absent term is 0.0."""
+        unknown = sorted(set(terms) - set(TERMS))
+        if unknown:
+            raise ContractError(f"unknown loss terms {unknown}; known: {list(TERMS)}")
+        parts = {name: terms.get(name, 0.0) for name in TERMS}
         for name, v in parts.items():
             if v < 0 or not np.isfinite(v):
                 raise ContractError(f"loss part {name} must be finite and >= 0, got {v}")
-        context = grad + mse
-        cs = cs_ir + cs_vis
-        total_sub = fea + context + cs
-        return cls(step=step, lr_main=lr_main, lr_sub=lr_sub,
-                   fea=fea, grad=grad, mse=mse, context=context,
-                   cs_ir=cs_ir, cs_vis=cs_vis, cs=cs, seg=seg,
-                   total_sub=total_sub, total_main=total_sub + seg)
+        context = parts["grad"] + parts["mse"]
+        cs = parts["cs_ir"] + parts["cs_vis"]
+        total_sub = parts["fea"] + context + cs
+        return cls(step=step, lr_main=lr_main, lr_sub=lr_sub, context=context, cs=cs,
+                   total_sub=total_sub, total_main=total_sub + parts["seg"], **parts)
 
     def csv_row(self) -> str:
         cells = [str(self.step)]
-        cells += [repr(float(getattr(self, f)))
-                  for f in CSV_HEADER.split(",")[1:]]
+        cells += [repr(float(getattr(self, f.name))) for f in fields(self)[1:]]
         return ",".join(cells)
+
+
+TERMS = tuple(f.name for f in fields(LossBreakdown) if f.metadata.get("term"))
+CSV_HEADER = ",".join(f.name for f in fields(LossBreakdown))

@@ -150,7 +150,7 @@ class TeacherNet(ParamModule):
         self.stages: list[AttentionParams] = []
         for m in range(cfg.stages):
             own_repo = (m == 0) if cfg.variant != "no_pr" else False
-            own_kv = own_repo or cfg.variant == "no_pr"
+            own_kv = (own_repo and cfg.variant != "no_kv") or cfg.variant == "no_pr"
             own_z = own_repo and cfg.variant != "no_z"
             p = AttentionParams(rng, d, d, cfg.heads, cfg.head_dim,
                                 f"stage{m}", own_z=own_z, own_kv=own_kv)

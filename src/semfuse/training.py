@@ -196,10 +196,18 @@ def _guard(term: str, fn):
             f"non-finite value while computing {term}: {exc}", term=term) from exc
 
 
-def _priors(state: TrainState, vis, ir):
+def _teach(state: TrainState, vis, ir):
+    """Masks for both sources, then the guarded teacher forward: (mv, mi, ref, feats)."""
     mv = state.provider.masks_for(vis, "vis", rng=state.rng)
     mi = state.provider.masks_for(ir, "ir", rng=state.rng)
-    return mv, mi, make_patches(vis, mv).patches, make_patches(ir, mi).patches
+    pv, pi = make_patches(vis, mv).patches, make_patches(ir, mi).patches
+    ref, feats = _guard("teacher-forward", lambda: state.teacher.forward(vis, ir, pv, pi))
+    return mv, mi, ref, feats
+
+
+def _seg(state: TrainState, ref: Tensor, mv, mi) -> Tensor:
+    return _guard("seg", lambda: losses.loss_seg(
+        state.stub.forward(ref), synth_labels(mv, mi, state.stub.n_classes)))
 
 
 def _source_context(out: Tensor, vis, ir) -> list:
@@ -208,68 +216,56 @@ def _source_context(out: Tensor, vis, ir) -> list:
             for src in (vis, ir)]
 
 
-_TERM_KEYS = ("fea", "grad", "mse", "cs_ir", "cs_vis", "seg")
+def _fold(samples: list) -> tuple:
+    """Batch mean of per-pair loss terms: (total Tensor, float parts).
+
+    Each sample maps a term name to a graph scalar or a list of them, in
+    the order the terms add; logged terms come in schema order
+    (`losses.TERMS`). Each term is summed over the batch in pair order,
+    then the sums are added in that order.
+    """
+    listed = [{k: v if isinstance(v, list) else [v] for k, v in s.items()} for s in samples]
+    sums = {key: reduce(operator.add, [t for s in listed for t in s[key]]) for key in listed[0]}
+    inv = 1.0 / len(samples)
+    total = reduce(operator.add, sums.values()) * inv
+    # max with 0: every term is non-negative up to roundoff, and the log
+    # rejects negative entries outright
+    return total, {key: max(0.0, float(s.data) * inv) for key, s in sums.items()}
 
 
-def _sample_terms(state: TrainState, vis, ir, need_seg: bool) -> dict:
-    """All loss terms for one pair as graph scalars, None where ablated."""
+def _sample_terms(state: TrainState, vis, ir, need_seg: bool) -> tuple:
+    """The enabled loss terms for one pair as graph scalars, and the pair's gap."""
     ab = state.cfg.ablations
-    mv, mi, pv, pi = _priors(state, vis, ir)
-    ref, feats = _guard("teacher-forward",
-                        lambda: state.teacher.forward(vis, ir, pv, pi))
+    mv, mi, ref, feats = _teach(state, vis, ir)
     fus, taps = _guard("student-forward",
                        lambda: state.student.forward(vis, ir))
     vt, it_ = Tensor(vis[None]), Tensor(ir[None])
-    out = dict.fromkeys(_TERM_KEYS)
+    terms = {}
     if not ab.no_fea:
-        out["fea"] = _guard("fea", lambda: losses.loss_fea(taps, feats))
+        terms["fea"] = _guard("fea", lambda: losses.loss_fea(taps, feats))
     if not ab.no_cont:
-        out["grad"], out["mse"] = _guard(
+        terms["grad"], terms["mse"] = _guard(
             "context", lambda: losses.context_bundle(ref, fus, vt, it_))
     if not ab.no_cs:
-        out["cs_ir"], out["cs_vis"] = _guard(
+        terms["cs_ir"], terms["cs_vis"] = _guard(
             "cs", lambda: losses.loss_cs(fus, ref, vt, it_, mv, mi, state.provider.encoder))
     if need_seg:
-        out["seg"] = _guard(
-            "seg", lambda: losses.loss_seg(
-                state.stub.forward(ref),
-                synth_labels(mv, mi, state.stub.n_classes)))
-    out["gap"] = float(np.mean(np.abs(fus.data - ref.data)))
-    return out
+        terms["seg"] = _seg(state, ref, mv, mi)
+    return terms, float(np.mean(np.abs(fus.data - ref.data)))
 
 
 def _batch_objective(state: TrainState, batch, need_seg: bool):
     """Mean loss terms over a batch: (total Tensor, float parts, mean gap)."""
-    samples = [_sample_terms(state, vis, ir, need_seg) for vis, ir in batch]
-    gap = float(np.mean([terms.pop("gap") for terms in samples]))
-    # a term is ablated for the whole run, so it is None in every sample or in none
-    sums = {key: reduce(operator.add, [terms[key] for terms in samples])
-            for key in _TERM_KEYS if samples[0][key] is not None}
-    inv = 1.0 / len(batch)
-    total = reduce(operator.add, sums.values()) * inv
-    # max with 0: every term is non-negative up to roundoff, and the log
-    # rejects negative entries outright
-    parts = {key: (max(0.0, float(sums[key].data) * inv) if key in sums else 0.0)
-             for key in _TERM_KEYS}
-    return total, parts, gap
+    samples, gaps = zip(*[_sample_terms(state, vis, ir, need_seg) for vis, ir in batch])
+    total, parts = _fold(samples)
+    return total, parts, float(np.mean(gaps))
 
 
-def _teacher_only_objective(state: TrainState, batch):
-    """Source fidelity plus segmentation for the teacher alone."""
-    gs, ms, segs = [], [], []
-    for vis, ir in batch:
-        mv, mi, pv, pi = _priors(state, vis, ir)
-        ref, _ = _guard("teacher-forward",
-                        lambda: state.teacher.forward(vis, ir, pv, pi))
-        for g, m in _source_context(ref, vis, ir):
-            gs.append(g)
-            ms.append(m)
-        segs.append(_guard("seg", lambda: losses.loss_seg(
-            state.stub.forward(ref), synth_labels(mv, mi, state.stub.n_classes))))
-    g_sum, m_sum, seg_sum = (reduce(operator.add, ts) for ts in (gs, ms, segs))
-    inv = 1.0 / len(batch)
-    total = (g_sum + m_sum + seg_sum) * inv
-    return total, float(g_sum.data) * inv, float(m_sum.data) * inv, float(seg_sum.data) * inv
+def _teacher_terms(state: TrainState, vis, ir) -> dict:
+    """Source fidelity plus segmentation of the teacher alone, for one pair."""
+    mv, mi, ref, _ = _teach(state, vis, ir)
+    (g_v, m_v), (g_i, m_i) = _source_context(ref, vis, ir)
+    return {"grad": [g_v, g_i], "mse": [m_v, m_i], "seg": _seg(state, ref, mv, mi)}
 
 
 def _update(state: TrainState, net, lr: float, objective) -> tuple:
@@ -399,10 +395,9 @@ def _alternating_step(state: TrainState, batch, step: int, total: int):
 
 def _teacher_step(state: TrainState, batch, step: int, total: int):
     lr_m = cosine_lr(step, total, state.cfg.lr_main, state.cfg.lr_floor)
-    _, g, m, seg = _update(state, state.teacher, lr_m,
-                           lambda: _teacher_only_objective(state, batch))
-    return LossBreakdown.from_parts(step=step + 1, lr_main=lr_m, lr_sub=0.0, fea=0.0,
-                                    grad=g, mse=m, cs_ir=0.0, cs_vis=0.0, seg=seg), None
+    _, parts = _update(state, state.teacher, lr_m,
+                       lambda: _fold([_teacher_terms(state, vis, ir) for vis, ir in batch]))
+    return LossBreakdown.from_parts(step=step + 1, lr_main=lr_m, lr_sub=0.0, **parts), None
 
 
 def _student_step(state: TrainState, batch, step: int, total: int):
@@ -439,8 +434,7 @@ def _source_loss(out: Tensor, vis, ir):
 
 
 def _teacher_out(state: TrainState, vis, ir) -> Tensor:
-    _, _, pv, pi = _priors(state, vis, ir)
-    return _guard("teacher-forward", lambda: state.teacher.forward(vis, ir, pv, pi))[0]
+    return _teach(state, vis, ir)[2]
 
 
 def _student_out(state: TrainState, vis, ir) -> Tensor:
@@ -449,11 +443,8 @@ def _student_out(state: TrainState, vis, ir) -> Tensor:
 
 def _pretrain_step(state: TrainState, batch, step: int, total: int) -> None:
     for net, forward in ((state.teacher, _teacher_out), (state.student, _student_out)):
-        def objective():
-            loss = reduce(operator.add, [_source_loss(forward(state, vis, ir), vis, ir)
-                                         for vis, ir in batch])
-            return (loss * (1.0 / len(batch)),)
-        _update(state, net, PRETRAIN_LR, objective)
+        _update(state, net, PRETRAIN_LR, lambda: _fold(
+            [{"source": _source_loss(forward(state, vis, ir), vis, ir)} for vis, ir in batch]))
 
 
 def pretrain(teacher: TeacherNet, student: StudentNet, pairs, cfg: TrainConfig) -> None:

@@ -350,6 +350,22 @@ class TestBreakdown:
             LossBreakdown.from_parts(step=0, lr_main=1e-4, lr_sub=1e-3,
                                      fea=-0.1, grad=0, mse=0, cs_ir=0, cs_vis=0, seg=0)
 
+    def test_csv_header_is_pinned(self):
+        assert CSV_HEADER == ("step,lr_main,lr_sub,fea,grad,mse,context,"
+                              "cs_ir,cs_vis,cs,seg,total_sub,total_main")
+
+    def test_absent_terms_are_zero(self):
+        row = LossBreakdown.from_parts(step=2, lr_main=1e-4, lr_sub=0.0,
+                                       grad=0.25, mse=0.5, seg=2.0)
+        assert (row.fea, row.cs_ir, row.cs_vis, row.cs) == (0.0, 0.0, 0.0, 0.0)
+        assert row.context == 0.75
+        assert row.total_sub == 0.75
+        assert row.total_main == 2.75
+
+    def test_unknown_term_rejected(self):
+        with pytest.raises(ContractError):
+            LossBreakdown.from_parts(step=0, lr_main=1e-4, lr_sub=1e-3, context=1.0)
+
     def test_csv_round_trip(self):
         row = LossBreakdown.from_parts(step=7, lr_main=5e-4, lr_sub=2e-3,
                                        fea=0.125, grad=0.25, mse=0.5,

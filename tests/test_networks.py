@@ -1,5 +1,6 @@
 """Network shapes, parameter accounting, checkpoints, gradient flow."""
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -288,6 +289,19 @@ class TestCheckpoints:
 
 
 class TestGradients:
+    @pytest.mark.parametrize("variant", ["full", "no_z", "no_kv"])
+    def test_every_teacher_parameter_gets_a_gradient(self, variant):
+        net = TeacherNet(replace(SLIM_TEACHER, variant=variant), seed=16)
+        vis, ir = sources(16, 16, seed=11)
+        out, feats = net.forward(vis, ir, smooth_patches(vis), smooth_patches(ir))
+        loss = ad.tsum(out)
+        for f in feats:
+            loss = loss + ad.tsum(f)
+        ad.backward(loss)
+        unreached = [name for name, t in net.named_parameters()
+                     if t.grad is None or not np.any(t.grad)]
+        assert not unreached
+
     def test_teacher_full_path(self):
         net = TeacherNet(SLIM_TEACHER, seed=14)
         jitter(net.parameters(), seed=20)
