@@ -6,7 +6,8 @@ Z. Every attention stage then reads the same repository; queries come
 from per-modality patch features. Ablation variants bypass the latent
 projection (keys/values straight from source features), the key/value
 projections (attend against Z itself), or the repository entirely
-(self-attention over the query features).
+(self-attention: each stage attends to a `no_z` repository of its own
+query features).
 """
 from __future__ import annotations
 
@@ -21,7 +22,11 @@ from .autodiff import Tensor
 from .errors import ContractError, ShapeError
 from .instrumentation import bump
 
-VARIANTS = ("full", "no_z", "no_kv", "no_pr")
+# Per variant, what a repository-building stage owns: (latent projection,
+# key/value projections). Under `no_pr` every stage builds a `no_z` one.
+OWNS = {"full": (True, True), "no_z": (False, True),
+        "no_kv": (True, False), "no_pr": (False, True)}
+VARIANTS = tuple(OWNS)
 
 
 def kaiming(rng: np.random.Generator, *shape: int) -> np.ndarray:
@@ -134,31 +139,23 @@ def cross_attend(f_q: Tensor, repo: PersistentRepository | None, p: AttentionPar
 
     Queries are projected from (c, H, W) features; each head computes
     softmax(Q_h^T K_h / sqrt(head_dim)) V_h^T over repository tokens. With
-    `repo=None` the features attend to themselves through the stage's own
-    key/value projections (the repository-free ablation).
+    `repo=None` the features attend to themselves through a `no_z`
+    repository of their own (the repository-free ablation).
     """
     bump("attention")
     if modality not in ("vis", "ir"):
         raise ContractError(f"modality must be 'vis' or 'ir', got {modality!r}")
-    c, h, w = f_q.shape
-    tokens = ad.reshape(f_q, (c, h * w))
-    q = (p.q_vis if modality == "vis" else p.q_ir)(tokens)
     if repo is None:
-        if p.kv_k is None:
-            raise ContractError("repository-free attention needs stage-owned k/v projections")
-        if c != p.d:
-            raise ShapeError(f"repository-free attention needs channels {c} == width {p.d}")
-        k = p.kv_k(tokens)
-        v = p.kv_v(tokens)
-    else:
-        k, v = repo.k, repo.v
+        repo = build_repository(f_q, p, variant="no_z")
+    c, h, w = f_q.shape
+    q = (p.q_vis if modality == "vis" else p.q_ir)(ad.reshape(f_q, (c, h * w)))
     scale = 1.0 / np.sqrt(p.head_dim)
     heads = []
     for i in range(p.heads):
         lo, hi = i * p.head_dim, (i + 1) * p.head_dim
         qh = ad.rows(q, lo, hi)
-        kh = ad.rows(k, lo, hi)
-        vh = ad.rows(v, lo, hi)
+        kh = ad.rows(repo.k, lo, hi)
+        vh = ad.rows(repo.v, lo, hi)
         weights = ad.softmax_rows(ad.matmul(ad.transpose2d(qh), kh) * scale)
         if weights_sink is not None:
             weights_sink.append(weights)

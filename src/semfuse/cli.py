@@ -22,14 +22,14 @@ from .errors import (CheckpointError, ContractError, NonFiniteError,
 from .gradcheck import build_suite
 from .imageio import Image, load_image, rgb_to_ycbcr, save_image, ycbcr_to_rgb
 from .instrumentation import delta, snapshot
-from .metrics import evaluate_triple
+from .metrics import MetricReport, evaluate_triple
 from .networks import (StudentNet, TeacherConfig, TeacherNet, load_checkpoint,
                        param_count, save_checkpoint)
 from .priors import PriorProvider, make_patches
 from .training import (Ablations, TrainConfig, alternate_train, frozen,
                        pretrain)
 
-EVAL_HEADER = "path,en,sd,scd,ms_ssim_mean,ms_ssim_sum"
+EVAL_HEADER = ",".join(["path"] + [f.name for f in fields(MetricReport)])
 
 
 class UsageError(ValueError):
@@ -260,8 +260,8 @@ def cmd_eval(cfg: RunConfig) -> int:
         fused = _fused_gray(found[0])
         vis, ir, _chroma = load_pair(vis_path, ir_path)
         rep = evaluate_triple(fused, vis, ir)
-        rows.append(f"{found[0].name},{rep.en!r},{rep.sd!r},{rep.scd!r},"
-                    f"{rep.ms_ssim_mean!r},{rep.ms_ssim_sum!r}")
+        rows.append(",".join([found[0].name]
+                             + [repr(getattr(rep, f.name)) for f in fields(rep)]))
     if missing:
         raise UsageError(f"missing fused images for: {', '.join(missing)}")
     out = Path(cfg.out)

@@ -3,10 +3,11 @@
 The teacher encodes the stacked source pair, builds the persistent
 repository once, runs the configured number of attention stages over
 per-modality patch features, and decodes the final stage to a fused
-image. The student is a compact stem / dense-block / transition stack
-with a sigmoid head; 1x1 stride-2 adapters expose per-block features in
-the same shape as the teacher's per-stage features so the distillation
-terms can compare them directly.
+image; under `no_pr` it has neither repository nor source encoder. The
+student is a compact stem / dense-block / transition stack with a
+sigmoid head; 1x1 stride-2 adapters expose per-block features in the
+same shape as the teacher's per-stage features so the distillation terms
+can compare them directly.
 
 Both networks map [0, 1] inputs of any size >= 3x3 to an output of
 exactly the input size.
@@ -22,7 +23,7 @@ from functools import reduce
 import numpy as np
 
 from . import autodiff as ad
-from .attention import VARIANTS, AttentionParams, attention_stage, build_repository, kaiming
+from .attention import OWNS, VARIANTS, AttentionParams, attention_stage, build_repository, kaiming
 from .autodiff import Tensor
 from .errors import CheckpointError, ContractError, ShapeError
 
@@ -141,17 +142,18 @@ class TeacherNet(ParamModule):
         self.cfg = cfg
         rng = np.random.default_rng(seed)
         cb, d = cfg.base_channels, cfg.token_width
-        self.enc1 = self._conv(rng, "enc1", cb, 2, 3)
-        self.enc2 = self._conv(rng, "enc2", d, cb, 3)
+        self.shared_repo = cfg.variant != "no_pr"
+        if self.shared_repo:
+            self.enc1 = self._conv(rng, "enc1", cb, 2, 3)
+            self.enc2 = self._conv(rng, "enc2", d, cb, 3)
         self.pvis1 = self._conv(rng, "patch_vis1", cb, 1, 3)
         self.pvis2 = self._conv(rng, "patch_vis2", d, cb, 3)
         self.pir1 = self._conv(rng, "patch_ir1", cb, 1, 3)
         self.pir2 = self._conv(rng, "patch_ir2", d, cb, 3)
         self.stages: list[AttentionParams] = []
         for m in range(cfg.stages):
-            own_repo = (m == 0) if cfg.variant != "no_pr" else False
-            own_kv = (own_repo and cfg.variant != "no_kv") or cfg.variant == "no_pr"
-            own_z = own_repo and cfg.variant != "no_z"
+            builds = m == 0 or not self.shared_repo    # no_pr: every stage builds one
+            own_z, own_kv = OWNS[cfg.variant] if builds else (False, False)
             p = AttentionParams(rng, d, d, cfg.heads, cfg.head_dim,
                                 f"stage{m}", own_z=own_z, own_kv=own_kv)
             self.stages.append(p)
@@ -177,18 +179,16 @@ class TeacherNet(ParamModule):
         vis, ir = _image(vis), _image(ir)
         if vis.shape != ir.shape:
             raise ShapeError(f"source shapes differ: {vis.shape} vs {ir.shape}")
-        if not patches_vis and not patches_ir:
-            raise ContractError("both patch lists are empty")
+        if not patches_vis or not patches_ir:
+            raise ContractError(f"empty patch list: {len(patches_vis)} vis, {len(patches_ir)} ir")
         _, h, w = vis.shape
-        f_src = self._encode_pair(vis, ir)
-        # A modality with no patches queries from the shared source features.
-        f_pvis = self._encode_patches(patches_vis, "vis") if patches_vis else f_src
-        f_pir = self._encode_patches(patches_ir, "ir") if patches_ir else f_src
         repo = None
-        if self.cfg.variant != "no_pr":
-            repo = build_repository(f_src, self.stages[0], variant=self.cfg.variant)
+        if self.shared_repo:
+            repo = build_repository(self._encode_pair(vis, ir), self.stages[0],
+                                    variant=self.cfg.variant)
+        cur_vis = self._encode_patches(patches_vis, "vis")
+        cur_ir = self._encode_patches(patches_ir, "ir")
         feats = []
-        cur_vis, cur_ir = f_pvis, f_pir
         for p in self.stages:
             merged, cur_vis, cur_ir = attention_stage(cur_vis, cur_ir, repo, p)
             feats.append(merged)

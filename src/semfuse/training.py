@@ -18,6 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import losses
+from .attention import VARIANTS
 from .autodiff import Tensor, frozen
 from .data import random_crop
 from .errors import ContractError, NonFiniteError, TrainingAbort
@@ -46,9 +47,7 @@ class Ablations:
     offline: bool = False
 
     def variant(self) -> str:
-        picked = [name for name, flag in
-                  (("no_z", self.no_z), ("no_kv", self.no_kv), ("no_pr", self.no_pr))
-                  if flag]
+        picked = [v for v in VARIANTS if v != "full" and getattr(self, v)]
         if len(picked) > 1:
             raise ContractError(f"attention variants are mutually exclusive: {picked}")
         return picked[0] if picked else "full"

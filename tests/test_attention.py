@@ -7,7 +7,7 @@ from semfuse.autodiff import Tensor
 from semfuse.attention import (AttentionParams, PersistentRepository,
                                attention_stage, build_repository, cross_attend)
 from semfuse.errors import ContractError, ShapeError
-from semfuse.gradcheck import check_scalar_fn
+from semfuse.gradcheck import build_suite, check_scalar_fn
 from semfuse.instrumentation import delta, snapshot
 
 D, HEADS, HEAD_DIM = 8, 2, 4
@@ -117,6 +117,21 @@ class TestCrossAttend:
         out = cross_attend(rand_feats(28), None, p, "vis")
         assert out.shape == (D, 3, 3)
 
+    @pytest.mark.parametrize("modality", ["vis", "ir"])
+    def test_repo_free_is_a_no_z_repository_of_the_queries(self, modality):
+        results = []
+        for explicit in (False, True):
+            p = make_params(seed=29, own_z=False)
+            f = rand_feats(30, grad=True)
+            repo = build_repository(f, p, variant="no_z") if explicit else None
+            out = cross_attend(f, repo, p, modality)
+            ad.backward(ad.tsum(ad.square(out)))
+            grads = [f.grad] + [t.grad for _, t in p.named()]
+            results.append([out.data.tobytes()]
+                           + [None if g is None else g.tobytes() for g in grads])
+        assert results[0][1] is not None
+        assert results[0] == results[1]
+
     def test_bad_modality_rejected(self):
         p = make_params()
         repo = build_repository(rand_feats(1), p)
@@ -178,4 +193,9 @@ class TestGradients:
             return ad.tmean(ad.square(cross_attend(f_vis, None, p, "vis")))
 
         res = check_scalar_fn("attend_no_pr", build, {"f_vis": f_vis}, seed=5)
+        assert res.passed, res.per_tensor
+
+    def test_suite_no_kv_check_passes_at_seed_4(self):
+        # at the default 1e-5 step its FD roundoff exceeded the bound
+        res = dict(build_suite(seed=4))["attn_no_kv"]()
         assert res.passed, res.per_tensor

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semfuse import autodiff as ad
+from semfuse.attention import VARIANTS
 from semfuse.autodiff import Tensor
 from semfuse.errors import CheckpointError, ContractError, ShapeError
-from semfuse.gradcheck import check_scalar_fn, jitter
+from semfuse.gradcheck import build_suite, check_scalar_fn, jitter
 from semfuse.networks import (StudentConfig, StudentNet, TeacherConfig,
                               TeacherNet, dense_block, load_checkpoint,
                               param_count, save_checkpoint)
@@ -82,6 +83,15 @@ class TestShapes:
         vis, ir = sources(16, 16)
         with pytest.raises(ContractError):
             net.forward(vis, ir, [], [])
+
+    @pytest.mark.parametrize("empty", ["vis", "ir"])
+    def test_one_empty_patch_list_rejected(self, empty):
+        net = TeacherNet(SLIM_TEACHER)
+        vis, ir = sources(16, 16)
+        pv = [] if empty == "vis" else simple_patches(vis)
+        pi = [] if empty == "ir" else simple_patches(ir)
+        with pytest.raises(ContractError):
+            net.forward(vis, ir, pv, pi)
 
 
 class TestDenseBlock:
@@ -301,6 +311,27 @@ class TestGradients:
         unreached = [name for name, t in net.named_parameters()
                      if t.grad is None or not np.any(t.grad)]
         assert not unreached
+
+    def test_no_pr_teacher_has_no_dead_parameters(self):
+        # without a repository the source encoder has no reader, so the
+        # teacher must not build it
+        net = TeacherNet(replace(SLIM_TEACHER, variant="no_pr"), seed=16)
+        vis, ir = sources(16, 16, seed=11)
+        out, feats = net.forward(vis, ir, smooth_patches(vis), smooth_patches(ir))
+        loss = ad.tsum(out)
+        for f in feats:
+            loss = loss + ad.tsum(f)
+        ad.backward(loss)
+        unreached = [name for name, t in net.named_parameters()
+                     if t.grad is None or not np.any(t.grad)]
+        assert not unreached
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_gradcheck_covers_what_stage0_owns(self, variant):
+        runner = dict(build_suite(seed=0))[f"attn_{variant}"]
+        checked = {n for n in runner().per_tensor if n.startswith("stage0.")}
+        net = TeacherNet(replace(SLIM_TEACHER, variant=variant), seed=0)
+        assert checked == {n for n, _ in net.stages[0].named()}
 
     def test_teacher_full_path(self):
         net = TeacherNet(SLIM_TEACHER, seed=14)
