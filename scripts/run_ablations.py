@@ -9,6 +9,7 @@ budget is small; raise --steps for smoother numbers.
 import argparse
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -20,17 +21,8 @@ from semfuse.metrics import evaluate_triple
 from semfuse.networks import StudentConfig, StudentNet, TeacherConfig, TeacherNet
 from semfuse.training import Ablations, TrainConfig, alternate_train, frozen
 
-VARIANTS = (
-    ("full", {}),
-    ("no_sam", {"no_sam": True}),
-    ("no_z", {"no_z": True}),
-    ("no_kv", {"no_kv": True}),
-    ("no_pr", {"no_pr": True}),
-    ("no_fea", {"no_fea": True}),
-    ("no_cont", {"no_cont": True}),
-    ("no_cs", {"no_cs": True}),
-    ("offline", {"offline": True}),
-)
+# the full method, then one row per ablation switch in declaration order
+VARIANTS = (("full", {}),) + tuple((f.name, {f.name: True}) for f in fields(Ablations))
 
 HEADER = "variant,final_total_sub,gap_first,gap_last,en,sd,scd,ms_ssim"
 

@@ -3,15 +3,15 @@
 Covers exactly what the fusion pipeline needs: broadcasting elementwise
 arithmetic, 2-d matmul, strided conv2d (over one map or a channel stack
 of maps), row softmax, a Sobel filter and the usual pointwise
-nonlinearities. Every operation records its inputs and a hand-written
-backward rule; ``backward`` replays the records in reverse topological
-order. The rules are verified against central finite differences in the
-test suite.
+nonlinearities. Every operation records, for each input that requires a
+gradient, one hand-written backward rule; ``backward`` replays the
+records in reverse topological order. The rules are verified against
+central finite differences in the test suite.
 """
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -28,8 +28,11 @@ def _check_finite(arr: Array, label: str) -> None:
 class Tensor:
     """N-d float64 array with an optional gradient buffer.
 
-    Operation outputs keep references to their inputs plus a closure
-    computing input gradients from the output gradient. Gradients
+    Operation outputs keep references to the inputs that require a
+    gradient plus a closure computing their gradients from the output
+    gradient. ``requires_grad`` is read when an op records, not when
+    ``backward`` runs: an input that is constant at that moment is not on
+    the tape and never gets a gradient through that op. Gradients
     accumulate across ``backward`` calls until ``zero_grad``. Creating a
     tensor with NaN or Inf anywhere raises ``NonFiniteError``; finiteness
     is a contract of the whole graph, not a soft warning.
@@ -102,12 +105,20 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _from_op(data: Array, parents: Sequence[Tensor], backward_fn: Callable) -> Tensor:
-    # Graph edges are only kept when some input needs them; otherwise the
-    # result is a plain constant and the closure is dropped immediately.
-    if any(p.requires_grad for p in parents):
-        return Tensor(data, requires_grad=True, _parents=tuple(parents), _backward=backward_fn)
-    return Tensor(data)
+def _from_op(data: Array, *edges: tuple[Tensor, Callable[[Array], Array]]) -> Tensor:
+    """The output of an op, with an edge to each input a gradient flows to.
+
+    Each edge is an (input, rule) pair; rule(g) is that input's gradient
+    given the output gradient g. Only the edges whose input requires a
+    gradient now are kept, so no rule runs for a constant; with none kept
+    the result is a plain constant.
+    """
+    kept = [edge for edge in edges if edge[0].requires_grad]
+    if not kept:
+        return Tensor(data)
+    parents, rules = zip(*kept)
+    return Tensor(data, requires_grad=True, _parents=parents,
+                  _backward=lambda g: tuple(rule(g) for rule in rules))
 
 
 def trace(root: Tensor) -> list[Tensor]:
@@ -138,19 +149,18 @@ def backward(root: Tensor, grad: Array | None = None) -> None:
     """
     if root.data.size != 1:
         raise ContractError(f"backward needs a scalar root, got shape {root.data.shape}")
+    if not root.requires_grad:
+        return
     seed = np.ones_like(root.data) if grad is None else np.asarray(grad, dtype=np.float64)
     flow: dict[int, Array] = {id(root): seed}
     for node in reversed(trace(root)):
         g = flow.pop(id(node), None)
         if g is None:
             continue
-        if node.requires_grad and node._backward is None:
-            node.grad = g.copy() if node.grad is None else node.grad + g
         if node._backward is None:
+            node.grad = g.copy() if node.grad is None else node.grad + g
             continue
         for parent, pg in zip(node._parents, node._backward(g)):
-            if pg is None or not parent.requires_grad:
-                continue
             held = flow.get(id(parent))
             flow[id(parent)] = pg if held is None else held + pg
     # Anything left in `flow` is unreachable from the leaves; nothing to do.
@@ -158,7 +168,13 @@ def backward(root: Tensor, grad: Array | None = None) -> None:
 
 @contextmanager
 def frozen(tensors):
-    """Temporarily clear requires_grad; restores on exit even after errors."""
+    """Temporarily clear requires_grad; restores on exit even after errors.
+
+    Ops read the flag when they record, so the tensors are constants to
+    every op run inside the block: a graph built there has no edge to
+    them, and a ``backward`` through it gives them no gradient even after
+    the block has exited. Freeze around both the forward and the backward.
+    """
     tensors = list(tensors)
     saved = [t.requires_grad for t in tensors]
     for t in tensors:
@@ -189,99 +205,75 @@ def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
 
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out = a.data + b.data
-
-    def back(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
-
-    return _from_op(out, (a, b), back)
+    return _from_op(a.data + b.data,
+                    (a, lambda g: _unbroadcast(g, a.data.shape)),
+                    (b, lambda g: _unbroadcast(g, b.data.shape)))
 
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out = a.data - b.data
-
-    def back(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
-
-    return _from_op(out, (a, b), back)
+    return _from_op(a.data - b.data,
+                    (a, lambda g: _unbroadcast(g, a.data.shape)),
+                    (b, lambda g: _unbroadcast(-g, b.data.shape)))
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out = a.data * b.data
-
-    def back(g):
-        return (_unbroadcast(g * b.data, a.data.shape),
-                _unbroadcast(g * a.data, b.data.shape))
-
-    return _from_op(out, (a, b), back)
+    return _from_op(a.data * b.data,
+                    (a, lambda g: _unbroadcast(g * b.data, a.data.shape)),
+                    (b, lambda g: _unbroadcast(g * a.data, b.data.shape)))
 
 
 def div(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out = a.data / b.data
-
-    def back(g):
-        return (_unbroadcast(g / b.data, a.data.shape),
-                _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return _from_op(out, (a, b), back)
+    return _from_op(a.data / b.data,
+                    (a, lambda g: _unbroadcast(g / b.data, a.data.shape)),
+                    (b, lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)))
 
 
 def neg(a) -> Tensor:
     a = _as_tensor(a)
-    return _from_op(-a.data, (a,), lambda g: (-g,))
+    return _from_op(-a.data, (a, lambda g: -g))
 
 
 def powi(a, p: float) -> Tensor:
     """Elementwise power with a constant exponent."""
     a = _as_tensor(a)
     p = float(p)
-    out = a.data ** p
-
-    def back(g):
-        return (g * p * a.data ** (p - 1.0),)
-
-    return _from_op(out, (a,), back)
+    return _from_op(a.data ** p, (a, lambda g: g * p * a.data ** (p - 1.0)))
 
 
 def square(a) -> Tensor:
     a = _as_tensor(a)
-    return _from_op(a.data * a.data, (a,), lambda g: (2.0 * a.data * g,))
+    return _from_op(a.data * a.data, (a, lambda g: 2.0 * a.data * g))
 
 
 def exp(a) -> Tensor:
     a = _as_tensor(a)
     out = np.exp(a.data)
-    return _from_op(out, (a,), lambda g: (g * out,))
+    return _from_op(out, (a, lambda g: g * out))
 
 
 def log(a) -> Tensor:
     a = _as_tensor(a)
-    return _from_op(np.log(a.data), (a,), lambda g: (g / a.data,))
+    return _from_op(np.log(a.data), (a, lambda g: g / a.data))
 
 
 def sqrt(a) -> Tensor:
     a = _as_tensor(a)
     out = np.sqrt(a.data)
-    return _from_op(out, (a,), lambda g: (g / (2.0 * out),))
+    return _from_op(out, (a, lambda g: g / (2.0 * out)))
 
 
 def absval(a) -> Tensor:
     a = _as_tensor(a)
-    return _from_op(np.abs(a.data), (a,), lambda g: (g * np.sign(a.data),))
+    return _from_op(np.abs(a.data), (a, lambda g: g * np.sign(a.data)))
 
 
 def clamp_min(a, floor: float) -> Tensor:
     """max(a, floor); gradient passes only where a > floor."""
     a = _as_tensor(a)
-    out = np.maximum(a.data, floor)
-
-    def back(g):
-        return (g * (a.data > floor),)
-
-    return _from_op(out, (a,), back)
+    return _from_op(np.maximum(a.data, floor), (a, lambda g: g * (a.data > floor)))
 
 
 def sigmoid(a) -> Tensor:
@@ -292,22 +284,14 @@ def sigmoid(a) -> Tensor:
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
-
-    def back(g):
-        return (g * out * (1.0 - out),)
-
-    return _from_op(out, (a,), back)
+    return _from_op(out, (a, lambda g: g * out * (1.0 - out)))
 
 
 def leaky_relu(a, slope: float = 0.2) -> Tensor:
     a = _as_tensor(a)
     mask = a.data >= 0
     out = np.where(mask, a.data, slope * a.data)
-
-    def back(g):
-        return (g * np.where(mask, 1.0, slope),)
-
-    return _from_op(out, (a,), back)
+    return _from_op(out, (a, lambda g: g * np.where(mask, 1.0, slope)))
 
 
 # ---------------------------------------------------------------------------
@@ -316,23 +300,15 @@ def leaky_relu(a, slope: float = 0.2) -> Tensor:
 
 def tsum(a) -> Tensor:
     a = _as_tensor(a)
-    out = np.asarray(a.data.sum())
-
-    def back(g):
-        return (np.broadcast_to(g, a.data.shape).copy(),)
-
-    return _from_op(out, (a,), back)
+    return _from_op(np.asarray(a.data.sum()),
+                    (a, lambda g: np.broadcast_to(g, a.data.shape).copy()))
 
 
 def tmean(a) -> Tensor:
     a = _as_tensor(a)
     n = a.data.size
-    out = np.asarray(a.data.mean())
-
-    def back(g):
-        return (np.broadcast_to(g / n, a.data.shape).copy(),)
-
-    return _from_op(out, (a,), back)
+    return _from_op(np.asarray(a.data.mean()),
+                    (a, lambda g: np.broadcast_to(g / n, a.data.shape).copy()))
 
 
 def dot(a, b) -> Tensor:
@@ -346,12 +322,7 @@ def dot(a, b) -> Tensor:
 
 def reshape(a, shape: tuple[int, ...]) -> Tensor:
     a = _as_tensor(a)
-    out = a.data.reshape(shape)
-
-    def back(g):
-        return (g.reshape(a.data.shape),)
-
-    return _from_op(out, (a,), back)
+    return _from_op(a.data.reshape(shape), (a, lambda g: g.reshape(a.data.shape)))
 
 
 def flatten(a) -> Tensor:
@@ -363,7 +334,7 @@ def transpose2d(a) -> Tensor:
     a = _as_tensor(a)
     if a.data.ndim != 2:
         raise ShapeError(f"transpose2d needs a 2-d tensor, got shape {a.data.shape}")
-    return _from_op(a.data.T.copy(), (a,), lambda g: (g.T,))
+    return _from_op(a.data.T.copy(), (a, lambda g: g.T))
 
 
 def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
@@ -371,12 +342,15 @@ def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
     if not parts:
         raise ContractError("concat of an empty sequence")
     out = np.concatenate([p.data for p in parts], axis=axis)
-    splits = np.cumsum([p.data.shape[axis] for p in parts])[:-1]
 
-    def back(g):
-        return tuple(np.ascontiguousarray(piece) for piece in np.split(g, splits, axis=axis))
+    def part_rule(lo: int, hi: int):
+        return lambda g: np.ascontiguousarray(np.split(g, [lo, hi], axis=axis)[1])
 
-    return _from_op(out, tuple(parts), back)
+    edges, lo = [], 0
+    for p in parts:
+        edges.append((p, part_rule(lo, lo + p.data.shape[axis])))
+        lo += p.data.shape[axis]
+    return _from_op(out, *edges)
 
 
 def rows(a, start: int, stop: int) -> Tensor:
@@ -388,12 +362,12 @@ def rows(a, start: int, stop: int) -> Tensor:
         raise ShapeError(f"row slice [{start}:{stop}] out of range for shape {a.data.shape}")
     out = a.data[start:stop].copy()
 
-    def back(g):
+    def rule(g):
         full = np.zeros_like(a.data)
         full[start:stop] = g
-        return (full,)
+        return full
 
-    return _from_op(out, (a,), back)
+    return _from_op(out, (a, rule))
 
 
 def crop2d(a, height: int, width: int) -> Tensor:
@@ -404,12 +378,12 @@ def crop2d(a, height: int, width: int) -> Tensor:
         raise ShapeError(f"crop to {height}x{width} exceeds input {h}x{w}")
     out = a.data[:, :height, :width].copy()
 
-    def back(g):
+    def rule(g):
         full = np.zeros_like(a.data)
         full[:, :height, :width] = g
-        return (full,)
+        return full
 
-    return _from_op(out, (a,), back)
+    return _from_op(out, (a, rule))
 
 
 def upsample_nearest2(a) -> Tensor:
@@ -419,11 +393,7 @@ def upsample_nearest2(a) -> Tensor:
         raise ShapeError(f"upsample_nearest2 needs (C, H, W), got shape {a.data.shape}")
     out = a.data.repeat(2, axis=1).repeat(2, axis=2)
     c, h, w = a.data.shape
-
-    def back(g):
-        return (g.reshape(c, h, 2, w, 2).sum(axis=(2, 4)),)
-
-    return _from_op(out, (a,), back)
+    return _from_op(out, (a, lambda g: g.reshape(c, h, 2, w, 2).sum(axis=(2, 4))))
 
 
 def pad_replicate(a, pad: int = 1) -> Tensor:
@@ -436,12 +406,12 @@ def pad_replicate(a, pad: int = 1) -> Tensor:
     iw = np.clip(np.arange(-pad, w + pad), 0, w - 1)
     out = a.data[:, ih[:, None], iw[None, :]]
 
-    def back(g):
+    def rule(g):
         gx = np.zeros_like(a.data)
         np.add.at(gx, (np.arange(c)[:, None, None], ih[None, :, None], iw[None, None, :]), g)
-        return (gx,)
+        return gx
 
-    return _from_op(out, (a,), back)
+    return _from_op(out, (a, rule))
 
 
 # ---------------------------------------------------------------------------
@@ -454,12 +424,9 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul needs 2-d operands, got {a.data.shape} and {b.data.shape}")
     if a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul inner dims differ: {a.data.shape} x {b.data.shape}")
-    out = a.data @ b.data
-
-    def back(g):
-        return g @ b.data.T, a.data.T @ g
-
-    return _from_op(out, (a, b), back)
+    return _from_op(a.data @ b.data,
+                    (a, lambda g: g @ b.data.T),
+                    (b, lambda g: a.data.T @ g))
 
 
 def softmax_rows(a) -> Tensor:
@@ -471,11 +438,11 @@ def softmax_rows(a) -> Tensor:
     e = np.exp(shifted)
     out = e / e.sum(axis=1, keepdims=True)
 
-    def back(g):
+    def rule(g):
         inner = (g * out).sum(axis=1, keepdims=True)
-        return ((g - inner) * out,)
+        return (g - inner) * out
 
-    return _from_op(out, (a,), back)
+    return _from_op(out, (a, rule))
 
 
 # ---------------------------------------------------------------------------
@@ -591,18 +558,21 @@ def conv2d(x, w, padding: int = 0, stride: int = 1, cols: Columns | None = None)
     out = (w2 @ mat).reshape(cout, ho, wo)
     hp, wp = h + 2 * padding, wd + 2 * padding
 
-    def back(g):
-        g2 = g.reshape(cout, ho * wo)
-        gw = (g2 @ mat.T).reshape(w.data.shape)
-        gcols = w2.T @ g2
-        grads, row = [], 0
-        for c, _, _ in shapes:
-            gxp = _col2im(gcols[row:row + c * k * k], c, hp, wp, k, stride, ho, wo)
-            grads.append(gxp[:, padding:padding + h, padding:padding + wd] if padding else gxp)
-            row += c * k * k
-        return (*grads, gw)
+    def part_rule(row: int, c: int):
+        def rule(g):
+            gcols = w2[:, row:row + c * k * k].T @ g.reshape(cout, ho * wo)
+            gxp = _col2im(gcols, c, hp, wp, k, stride, ho, wo)
+            return gxp[:, padding:padding + h, padding:padding + wd] if padding else gxp
+        return rule
 
-    return _from_op(out, (*parts, w), back)
+    def weight_rule(g):
+        return (g.reshape(cout, ho * wo) @ mat.T).reshape(w.data.shape)
+
+    edges, row = [], 0
+    for p, (c, _, _) in zip(parts, shapes):
+        edges.append((p, part_rule(row, c)))
+        row += c * k * k
+    return _from_op(out, *edges, (w, weight_rule))
 
 
 def _sobel_core(xp: Tensor, h: int, w: int) -> Tensor:
@@ -616,7 +586,7 @@ def _sobel_core(xp: Tensor, h: int, w: int) -> Tensor:
     gy = dyv[:, :-2] + 2.0 * dyv[:, 1:-1] + dyv[:, 2:]
     out = np.stack([gx, gy])
 
-    def back(g):
+    def rule(g):
         g0, g1 = g[0], g[1]
         gdxh = np.zeros((h + 2, w))
         gdxh[:-2] += g0
@@ -631,9 +601,9 @@ def _sobel_core(xp: Tensor, h: int, w: int) -> Tensor:
         gdyv[:, 2:] += g1
         gp[2:, :] += gdyv
         gp[:-2, :] -= gdyv
-        return (gp[None],)
+        return gp[None]
 
-    return _from_op(out, (xp,), back)
+    return _from_op(out, (xp, rule))
 
 
 def sobel(x) -> Tensor:

@@ -120,8 +120,12 @@ def build_suite(seed: int = 0) -> list:
         def build():
             g, m = losses.context_bundle(ref, fus, vis, ir)
             return g + m
+        # smaller step than the default: at 1e-5 the difference straddles
+        # the kink of absval (seed 6: 6.0e-3 on fus, growing with the step),
+        # while at 1e-6 seeds 0-11 stay within 3.0e-6
         return check_scalar_fn("context", build,
-                               {"ref": ref, "fus": fus, "vis": vis, "ir": ir}, seed=seed)
+                               {"ref": ref, "fus": fus, "vis": vis, "ir": ir},
+                               h=1e-6, seed=seed)
 
     def cs():
         mask_rng, rand = stream("cs")

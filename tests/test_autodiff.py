@@ -148,6 +148,69 @@ class TestGraph:
         assert out._parents == ()
 
 
+class TestEdges:
+    """An op records an edge only to the inputs that need a gradient when it runs."""
+
+    def test_mul_by_constant_records_only_the_variable(self, rng):
+        x = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        assert ad.mul(x, ad.Tensor(rng.normal(size=(3, 4))))._parents == (x,)
+        assert (x * 0.5)._parents == (x,)
+
+    def test_conv_records_only_trainable_sides(self, rng):
+        img = ad.Tensor(rng.normal(size=(2, 5, 5)))
+        w = ad.Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
+        assert ad.conv2d(img, w, padding=1)._parents == (w,)
+        img.requires_grad, w.requires_grad = True, False
+        assert ad.conv2d(img, w, padding=1)._parents == (img,)
+
+    def test_conv_on_constant_image_runs_no_col2im(self, rng, monkeypatch):
+        calls = []
+        real = ad._col2im
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(ad, "_col2im", counting)
+        img = ad.Tensor(rng.normal(size=(2, 5, 5)))
+        w = ad.Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
+        ad.tsum(ad.conv2d(img, w, padding=1)).backward()
+        assert calls == [] and w.grad is not None
+        img.requires_grad = True
+        ad.tsum(ad.conv2d(img, w, padding=1)).backward()
+        assert calls == [1] and img.grad is not None
+
+    def test_input_frozen_at_record_gets_no_grad(self, rng):
+        x = ad.Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        w = ad.Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        with ad.frozen([w]):
+            out = ad.tsum(ad.matmul(x, w))
+        assert w.requires_grad
+        out.backward()
+        assert w.grad is None
+        assert np.array_equal(x.grad, np.broadcast_to(w.data.sum(axis=1), (2, 3)))
+
+    def test_constant_parts_leave_trainable_grads_unchanged(self, rng):
+        parts_data = [rng.normal(size=(c, 5, 6)) for c in (2, 1, 3)]
+        w_data = rng.normal(size=(4, 6, 3, 3))
+        coef = rng.normal(size=(4, 5, 6))
+
+        def grads(trainable):
+            parts = [ad.Tensor(p, requires_grad=t) for p, t in zip(parts_data, trainable)]
+            w = ad.Tensor(w_data, requires_grad=True)
+            ad.tsum(ad.mul(ad.conv2d(parts, w, padding=1), coef)).backward()
+            return [p.grad for p in parts] + [w.grad]
+
+        want = grads([True, True, True])
+        for trainable in ([False, True, False], [True, False, True], [False, False, True]):
+            got = grads(trainable)
+            for g, ref, t in zip(got, want, trainable + [True]):
+                if t:
+                    assert np.array_equal(g, ref)
+                else:
+                    assert g is None
+
+
 # --------------------------------------------------------------------------
 # matmul
 
