@@ -133,14 +133,77 @@ def build_repository(f_src: Tensor, p: AttentionParams, variant: str = "full") -
     return PersistentRepository(z=z, k=k, v=v)
 
 
+def _attend(q: Tensor, k: Tensor, v: Tensor, head_dim: int,
+            weights_sink: list | None) -> Tensor:
+    """All heads of one attention call as a single tape node.
+
+    Rows [i*head_dim, (i+1)*head_dim) of the (d, T_q) output are head i's
+    V_h P_h^T, with P_h = softmax(Q_h^T K_h / sqrt(head_dim)) over rows.
+    Only each head's P is kept for the backward, which forms the score
+    gradient once per head for both dQ and dK and skips every input that
+    was constant when the node was recorded.
+    """
+    scale = 1.0 / np.sqrt(head_dim)
+    heads = range(0, q.data.shape[0], head_dim)
+    out = np.empty((v.data.shape[0], q.data.shape[1]))
+    weights = []
+    for lo in heads:
+        hi = lo + head_dim
+        s = q.data[lo:hi].T @ k.data[lo:hi]
+        s *= scale
+        s -= s.max(axis=1, keepdims=True)
+        np.exp(s, out=s)
+        s /= s.sum(axis=1, keepdims=True)
+        out[lo:hi] = v.data[lo:hi] @ s.T
+        weights.append(s)
+    if weights_sink is not None:
+        weights_sink.extend(Tensor(w) for w in weights)
+
+    # read when the node records, as `_from_op` reads them to keep edges
+    needed = [t.requires_grad for t in (q, k, v)]
+
+    def grads(g):
+        dq, dk, dv = (np.empty_like(t.data) if n else None for t, n in zip((q, k, v), needed))
+        for lo, w in zip(heads, weights):
+            hi = lo + head_dim
+            if dv is not None:
+                dv[lo:hi] = g[lo:hi] @ w
+            if dq is None and dk is None:
+                continue
+            ds = g[lo:hi].T @ v.data[lo:hi]
+            ds -= (ds * w).sum(axis=1, keepdims=True)
+            ds *= w
+            ds *= scale
+            if dq is not None:
+                dq[lo:hi] = (ds @ k.data[lo:hi].T).T
+            if dk is not None:
+                dk[lo:hi] = q.data[lo:hi] @ ds
+        return {i: d for i, d in enumerate((dq, dk, dv)) if d is not None}
+
+    # `backward` runs the kept rules one after another on the same g: the
+    # first fills `pending` with every kept gradient, each pops its own.
+    pending: dict[int, np.ndarray] = {}
+
+    def rule(i: int):
+        def take(g):
+            if not pending:
+                pending.update(grads(g))
+            return pending.pop(i)
+        return take
+
+    return ad._from_op(out, (q, rule(0)), (k, rule(1)), (v, rule(2)))
+
+
 def cross_attend(f_q: Tensor, repo: PersistentRepository | None, p: AttentionParams,
                  modality: str, weights_sink: list | None = None) -> Tensor:
     """Multi-head attention of per-modality query features against the repository.
 
     Queries are projected from (c, H, W) features; each head computes
-    softmax(Q_h^T K_h / sqrt(head_dim)) V_h^T over repository tokens. With
-    `repo=None` the features attend to themselves through a `no_z`
-    repository of their own (the repository-free ablation).
+    softmax(Q_h^T K_h / sqrt(head_dim)) V_h^T over repository tokens, all
+    heads in one tape node. With `repo=None` the features attend to
+    themselves through a `no_z` repository of their own (the
+    repository-free ablation). `weights_sink` receives each head's
+    (T_q, T_k) weights as a constant.
     """
     bump("attention")
     if modality not in ("vis", "ir"):
@@ -149,18 +212,7 @@ def cross_attend(f_q: Tensor, repo: PersistentRepository | None, p: AttentionPar
         repo = build_repository(f_q, p, variant="no_z")
     c, h, w = f_q.shape
     q = (p.q_vis if modality == "vis" else p.q_ir)(ad.reshape(f_q, (c, h * w)))
-    scale = 1.0 / np.sqrt(p.head_dim)
-    heads = []
-    for i in range(p.heads):
-        lo, hi = i * p.head_dim, (i + 1) * p.head_dim
-        qh = ad.rows(q, lo, hi)
-        kh = ad.rows(repo.k, lo, hi)
-        vh = ad.rows(repo.v, lo, hi)
-        weights = ad.softmax_rows(ad.matmul(ad.transpose2d(qh), kh) * scale)
-        if weights_sink is not None:
-            weights_sink.append(weights)
-        heads.append(ad.matmul(vh, ad.transpose2d(weights)))
-    out = p.attn_out(ad.concat(heads, axis=0))
+    out = p.attn_out(_attend(q, repo.k, repo.v, p.head_dim, weights_sink))
     return ad.reshape(out, (p.d, h, w))
 
 

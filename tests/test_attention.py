@@ -1,7 +1,11 @@
 """Repository construction and cross-attention invariants."""
+import operator
+from functools import reduce
+
 import numpy as np
 import pytest
 
+from semfuse import attention
 from semfuse import autodiff as ad
 from semfuse.autodiff import Tensor
 from semfuse.attention import (AttentionParams, PersistentRepository,
@@ -199,3 +203,121 @@ class TestGradients:
         # at the default 1e-5 step its FD roundoff exceeded the bound
         res = dict(build_suite(seed=4))["attn_no_kv"]()
         assert res.passed, res.per_tensor
+
+
+class TestFusedHeads:
+    """All heads of a `cross_attend` run as one tape node, checked against
+    the per-head chain of autodiff ops that it replaced."""
+
+    HEADS, HEAD_DIM, T_Q, T_K = 4, 3, 7, 11
+
+    @staticmethod
+    def chain(q, k, v, heads, head_dim):
+        scale = 1.0 / np.sqrt(head_dim)
+        outs = []
+        for i in range(heads):
+            lo, hi = i * head_dim, (i + 1) * head_dim
+            qh, kh, vh = ad.rows(q, lo, hi), ad.rows(k, lo, hi), ad.rows(v, lo, hi)
+            weights = ad.softmax_rows(ad.matmul(ad.transpose2d(qh), kh) * scale)
+            outs.append(ad.matmul(vh, ad.transpose2d(weights)))
+        return ad.concat(outs, axis=0)
+
+    @staticmethod
+    def fused(q, k, v, heads, head_dim, sink=None):
+        return attention._attend(q, k, v, head_dim, sink)
+
+    def leaves(self, seed):
+        rng = np.random.default_rng(seed)
+        d = self.HEADS * self.HEAD_DIM
+        return [Tensor(rng.normal(size=(d, t)), requires_grad=True)
+                for t in (self.T_Q, self.T_K, self.T_K)]
+
+    def run(self, op, seed, calls=1):
+        """Outputs of `calls` attention calls that share one k and v, then the
+        gradients of every q, k and v under a random linear read-out of them."""
+        k, v = self.leaves(seed)[1:]
+        qs = [self.leaves(seed + i)[0] for i in range(calls)]
+        outs = [op(q, k, v, self.HEADS, self.HEAD_DIM) for q in qs]
+        read = Tensor(np.random.default_rng(seed + 50).normal(size=outs[0].shape))
+        ad.backward(reduce(operator.add, (ad.tsum(ad.mul(o, read)) for o in outs)))
+        return [o.data for o in outs] + [q.grad for q in qs] + [k.grad, v.grad]
+
+    def test_matches_the_per_head_chain(self):
+        for ref, got in zip(self.run(self.chain, 61), self.run(self.fused, 61)):
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+
+    def test_shared_repository_accumulates_like_the_chain(self):
+        for ref, got in zip(self.run(self.chain, 63, calls=2), self.run(self.fused, 63, calls=2)):
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+
+    def test_finite_difference(self):
+        q, k, v = self.leaves(65)
+        read = Tensor(np.random.default_rng(66).normal(size=q.shape))
+
+        def build():
+            return ad.tsum(ad.mul(self.fused(q, k, v, self.HEADS, self.HEAD_DIM), read))
+
+        res = check_scalar_fn("fused_heads", build, {"q": q, "k": k, "v": v}, seed=6)
+        assert res.passed, res.per_tensor
+        assert max(res.per_tensor.values()) <= 1e-4
+
+    def test_frozen_repository_records_only_the_query(self):
+        grads = []
+        for op in (self.chain, self.fused):
+            q, k, v = self.leaves(67)
+            with ad.frozen([k, v]):
+                out = op(q, k, v, self.HEADS, self.HEAD_DIM)
+            # unfrozen before backward: the node still has no k or v edge
+            ad.tsum(ad.square(out)).backward()
+            ad.tsum(out).backward()
+            assert k.grad is None and v.grad is None
+            grads.append(q.grad)
+        assert out._parents == (q,)
+        np.testing.assert_allclose(grads[1], grads[0], rtol=1e-12, atol=0)
+
+    def test_sink_holds_one_constant_stochastic_matrix_per_head(self):
+        q, k, v = self.leaves(69)
+        sink = []
+        self.fused(q, k, v, self.HEADS, self.HEAD_DIM, sink)
+        assert len(sink) == self.HEADS
+        for w in sink:
+            assert isinstance(w, Tensor)
+            assert not w.requires_grad and w._parents == ()
+            assert w.shape == (self.T_Q, self.T_K)
+            assert np.all(w.data >= 0)
+            np.testing.assert_allclose(w.data.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+    def test_cross_attend_is_one_node_over_q_k_v(self):
+        p = make_params(seed=71)
+        repo = build_repository(rand_feats(72, grad=True), p)
+        out = cross_attend(rand_feats(73), repo, p, "vis")
+        readers = [n for n in ad.trace(out) if any(t is repo.k for t in n._parents)]
+        assert len(readers) == 1
+        assert readers[0]._parents[1:] == (repo.k, repo.v)
+
+    @pytest.mark.parametrize("frozen_at", [0, 1, 2])
+    def test_one_frozen_input_leaves_the_others_as_in_the_chain(self, frozen_at):
+        results = []
+        for op in (self.chain, self.fused):
+            leaves = self.leaves(75)
+            with ad.frozen([leaves[frozen_at]]):
+                out = op(*leaves, self.HEADS, self.HEAD_DIM)
+            ad.tsum(ad.square(out)).backward()
+            results.append([t.grad for t in leaves])
+        for i, (ref, got) in enumerate(zip(*results)):
+            if i == frozen_at:
+                assert ref is None and got is None
+            else:
+                np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+
+    def test_second_backward_through_one_node_uses_its_own_gradient(self):
+        results = []
+        for op in (self.chain, self.fused):
+            q, k, v = self.leaves(77)
+            out = op(q, k, v, self.HEADS, self.HEAD_DIM)
+            for seed in (78, 79):
+                read = Tensor(np.random.default_rng(seed).normal(size=out.shape))
+                ad.tsum(ad.mul(out, read)).backward()
+            results.append([q.grad, k.grad, v.grad])
+        for ref, got in zip(*results):
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
