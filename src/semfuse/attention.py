@@ -151,13 +151,10 @@ def _attend(q: Tensor, k: Tensor, v: Tensor, head_dim: int,
         hi = lo + head_dim
         s = q.data[lo:hi].T @ k.data[lo:hi]
         s *= scale
-        s -= s.max(axis=1, keepdims=True)
-        np.exp(s, out=s)
-        s /= s.sum(axis=1, keepdims=True)
-        out[lo:hi] = v.data[lo:hi] @ s.T
+        out[lo:hi] = v.data[lo:hi] @ ad._softmax_(s).T
         weights.append(s)
     if weights_sink is not None:
-        weights_sink.extend(Tensor(w) for w in weights)
+        weights_sink.extend(ad._node(w) for w in weights)
 
     # read when the node records, as `_from_op` reads them to keep edges
     needed = [t.requires_grad for t in (q, k, v)]
@@ -170,28 +167,15 @@ def _attend(q: Tensor, k: Tensor, v: Tensor, head_dim: int,
                 dv[lo:hi] = g[lo:hi] @ w
             if dq is None and dk is None:
                 continue
-            ds = g[lo:hi].T @ v.data[lo:hi]
-            ds -= (ds * w).sum(axis=1, keepdims=True)
-            ds *= w
+            ds = ad._softmax_grad_(g[lo:hi].T @ v.data[lo:hi], w)
             ds *= scale
             if dq is not None:
                 dq[lo:hi] = (ds @ k.data[lo:hi].T).T
             if dk is not None:
                 dk[lo:hi] = q.data[lo:hi] @ ds
-        return {i: d for i, d in enumerate((dq, dk, dv)) if d is not None}
+        return tuple(d for d in (dq, dk, dv) if d is not None)
 
-    # `backward` runs the kept rules one after another on the same g: the
-    # first fills `pending` with every kept gradient, each pops its own.
-    pending: dict[int, np.ndarray] = {}
-
-    def rule(i: int):
-        def take(g):
-            if not pending:
-                pending.update(grads(g))
-            return pending.pop(i)
-        return take
-
-    return ad._from_op(out, (q, rule(0)), (k, rule(1)), (v, rule(2)))
+    return ad._node(out, tuple(t for t, n in zip((q, k, v), needed) if n), grads)
 
 
 def cross_attend(f_q: Tensor, repo: PersistentRepository | None, p: AttentionParams,

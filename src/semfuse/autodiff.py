@@ -20,36 +20,25 @@ from .errors import ContractError, NonFiniteError, ShapeError
 Array = np.ndarray
 
 
-def _check_finite(arr: Array, label: str) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteError(f"non-finite values in {label}")
-
-
 class Tensor:
     """N-d float64 array with an optional gradient buffer.
 
-    Operation outputs keep references to the inputs that require a
-    gradient plus a closure computing their gradients from the output
-    gradient. ``requires_grad`` is read when an op records, not when
-    ``backward`` runs: an input that is constant at that moment is not on
-    the tape and never gets a gradient through that op. Gradients
-    accumulate across ``backward`` calls until ``zero_grad``. Creating a
-    tensor with NaN or Inf anywhere raises ``NonFiniteError``; finiteness
-    is a contract of the whole graph, not a soft warning.
+    ``Tensor(...)`` builds a leaf and raises ``NonFiniteError`` on NaN or
+    Inf. Op outputs come from ``_node`` unscanned; a non-finite value is
+    caught where a culprit can be named (a loss term, a gradient, a fused
+    image). An op output keeps the inputs that required a gradient when it
+    recorded, plus a closure giving their gradients from its own; they
+    accumulate across ``backward`` calls until ``zero_grad``.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "name", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None,
-                 _parents: tuple = (), _backward: Callable | None = None):
+    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         arr = np.asarray(data, dtype=np.float64)
-        _check_finite(arr, name or "tensor")
-        self.data = arr
-        self.requires_grad = bool(requires_grad)
-        self.grad: Array | None = None
-        self.name = name
-        self._parents = _parents
-        self._backward = _backward
+        if not np.isfinite(arr).all():
+            raise NonFiniteError(f"non-finite values in {name or 'tensor'}")
+        self.data, self.requires_grad, self.grad, self.name = arr, bool(requires_grad), None, name
+        self._parents, self._backward = (), None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -105,6 +94,15 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _node(data: Array, parents: tuple = (), backward: Callable | None = None) -> Tensor:
+    """An op output, unscanned; backward(g) gives one gradient per parent, in order."""
+    out = Tensor.__new__(Tensor)
+    out.data, out.grad, out.name = np.asarray(data, dtype=np.float64), None, None
+    out.requires_grad, out._parents = bool(parents), tuple(parents)
+    out._backward = backward if parents else None  # no parents: a constant
+    return out
+
+
 def _from_op(data: Array, *edges: tuple[Tensor, Callable[[Array], Array]]) -> Tensor:
     """The output of an op, with an edge to each input a gradient flows to.
 
@@ -114,11 +112,7 @@ def _from_op(data: Array, *edges: tuple[Tensor, Callable[[Array], Array]]) -> Te
     the result is a plain constant.
     """
     kept = [edge for edge in edges if edge[0].requires_grad]
-    if not kept:
-        return Tensor(data)
-    parents, rules = zip(*kept)
-    return Tensor(data, requires_grad=True, _parents=parents,
-                  _backward=lambda g: tuple(rule(g) for rule in rules))
+    return _node(data, tuple(p for p, _ in kept), lambda g: tuple(rule(g) for _, rule in kept))
 
 
 def trace(root: Tensor) -> list[Tensor]:
@@ -429,20 +423,29 @@ def matmul(a, b) -> Tensor:
                     (b, lambda g: a.data.T @ g))
 
 
+def _softmax_(s: Array) -> Array:
+    """Row softmax of 2-d `s` in place, with max-shifted exponents; returns `s`."""
+    s -= s.max(axis=1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=1, keepdims=True)
+    return s
+
+
+def _softmax_grad_(g: Array, p: Array) -> Array:
+    """Map `g`, a gradient at p = row softmax, to one at its logits, in place."""
+    g -= (g * p).sum(axis=1, keepdims=True)
+    g *= p
+    return g
+
+
 def softmax_rows(a) -> Tensor:
     """Row-wise softmax of a 2-d tensor, computed with max-shifted exponents."""
     a = _as_tensor(a)
     if a.data.ndim != 2:
         raise ShapeError(f"softmax_rows needs a 2-d tensor, got shape {a.data.shape}")
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=1, keepdims=True)
-
-    def rule(g):
-        inner = (g * out).sum(axis=1, keepdims=True)
-        return (g - inner) * out
-
-    return _from_op(out, (a, rule))
+    out = _softmax_(a.data.copy())
+    # g may be shared with other edges, so work on a copy
+    return _from_op(out, (a, lambda g: _softmax_grad_(g.copy(), out)))
 
 
 # ---------------------------------------------------------------------------

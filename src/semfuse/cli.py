@@ -220,6 +220,8 @@ def cmd_fuse(cfg: RunConfig) -> int:
         for stem, vis_path, ir_path in entries:
             vis, ir, chroma = load_pair(vis_path, ir_path)
             fused, _taps = student.forward(vis, ir)
+            if not np.isfinite(fused.data).all():
+                raise NonFiniteError(f"non-finite values in the fused image of pair {stem}")
             luma = Image(fused.data[0])
             if chroma is not None:
                 target = out / f"{stem}.fused.ppm"

@@ -22,7 +22,8 @@ COORDS_PER_TENSOR = 64
 
 
 def rel_err(auto: float, fd: float) -> float:
-    return abs(auto - fd) / max(1e-8, abs(fd))
+    err = abs(auto - fd) / max(1e-8, abs(fd))
+    return np.inf if np.isnan(err) else err  # a NaN on either side fails
 
 
 @dataclass

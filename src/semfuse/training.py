@@ -188,11 +188,20 @@ def make_state(teacher: TeacherNet, student: StudentNet, cfg: TrainConfig) -> Tr
 
 
 def _guard(term: str, fn):
+    """`fn()`, or `TrainingAbort(term=term)` if it meets NaN/Inf: a leaf built
+    inside raises `NonFiniteError`, and op outputs are not scanned, so each
+    tensor returned (a loss, a tuple of them, or an image and its feature
+    list) is checked here."""
     try:
-        return fn()
+        out = fn()
     except NonFiniteError as exc:
         raise TrainingAbort(
             f"non-finite value while computing {term}: {exc}", term=term) from exc
+    parts = out if isinstance(out, tuple) else (out,)
+    if not all(np.isfinite(t.data).all() for p in parts
+               for t in (p if isinstance(p, list) else [p])):
+        raise TrainingAbort(f"non-finite value while computing {term}", term=term)
+    return out
 
 
 def _teach(state: TrainState, vis, ir):

@@ -321,3 +321,27 @@ class TestFusedHeads:
             results.append([q.grad, k.grad, v.grad])
         for ref, got in zip(*results):
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+
+
+class TestFusedNodeEdges:
+    """The fused node's parents are the inputs that required a gradient when
+    it recorded, and its backward returns one gradient for each."""
+
+    @pytest.mark.parametrize("wants", [(a, b, c) for a in (False, True)
+                                       for b in (False, True) for c in (False, True)])
+    def test_parents_and_gradients_follow_record_time_flags(self, wants):
+        rng = np.random.default_rng(81)
+        q, k, v = (Tensor(rng.normal(size=(8, t)), requires_grad=w)
+                   for t, w in zip((5, 6, 6), wants))
+        out = attention._attend(q, k, v, 4, None)
+        picked = tuple(t for t, w in zip((q, k, v), wants) if w)
+        for t in (q, k, v):
+            t.requires_grad = not t.requires_grad  # later flips change nothing
+        assert len(out._parents) == len(picked)
+        assert all(a is b for a, b in zip(out._parents, picked))
+        if not picked:
+            assert out._backward is None and not out.requires_grad
+            return
+        grads = out._backward(rng.normal(size=out.shape))
+        assert isinstance(grads, tuple) and len(grads) == len(picked)
+        assert [g.shape for g in grads] == [t.shape for t in picked]

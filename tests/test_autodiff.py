@@ -499,3 +499,43 @@ class TestShapeOps:
                          ("clamp_min", lambda t: ad.clamp_min(t, 0.1))]:
             res = check_scalar_fn(name, lambda f=fn: ad.tsum(f(x)), {"x": x}, h=1e-5)
             assert res.passed, name
+
+
+class TestFiniteness:
+    """Leaves are checked for NaN/Inf; op outputs are returned as computed."""
+
+    def test_non_finite_op_result_is_returned(self):
+        with np.errstate(divide="ignore"):
+            out = ad.log(ad.Tensor(0.0))
+        assert out.item() == -np.inf
+
+    def test_non_finite_op_result_keeps_its_edge(self):
+        x = ad.Tensor(np.array([0.0, 1.0]), requires_grad=True)
+        with np.errstate(divide="ignore"):
+            out = ad.log(x)
+        assert out._parents == (x,) and np.isneginf(out.data[0])
+
+    def test_gradcheck_fails_a_nan_backward_rule(self, rng):
+        x = ad.Tensor(rng.normal(size=(3, 4)))
+
+        def double_with_nan_rule(a):
+            return ad._from_op(2.0 * a.data, (a, lambda g: np.full_like(g, np.nan)))
+
+        res = check_scalar_fn("nan_rule", lambda: ad.tsum(double_with_nan_rule(x)),
+                              {"x": x}, h=1e-5)
+        assert not res.passed
+        assert "[FAIL]" in res.line()
+
+
+class TestSoftmaxSharedGradient:
+    @pytest.mark.parametrize("softmax_first", [False, True])
+    def test_rule_leaves_a_shared_gradient_intact(self, rng, softmax_first):
+        # add hands one gradient array to both of its inputs, so the softmax
+        # rule must not work in place on the array it receives
+        a = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        x = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        s = ad.softmax_rows(x)
+        read = rng.normal(size=(3, 4))
+        both = ad.add(s, a) if softmax_first else ad.add(a, s)
+        ad.tsum(ad.mul(both, ad.Tensor(read))).backward()
+        np.testing.assert_array_equal(a.grad, read)

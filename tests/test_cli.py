@@ -548,3 +548,19 @@ class TestInfo:
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0
         assert "sub total" in proc.stdout
+
+
+class TestFuseNonFinite:
+    def test_overflowing_checkpoint_exits_2_naming_the_pair(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        stems = write_dataset(data, 1, h=16, w=16, seed=2)
+        student = StudentNet(StudentConfig(), seed=3)
+        for _, t in student.named_parameters():
+            t.data = t.data * 1e200
+        save_checkpoint(tmp_path / "sub.ckpt", student)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc, _, err = run(capsys, "fuse", "--data", str(data),
+                             "--ckpt", str(tmp_path / "sub.ckpt"), "--out", str(tmp_path / "f"))
+        assert rc == 2 and err.startswith("numerical abort:")
+        assert stems[0] in err
+        assert not list((tmp_path / "f").glob("*.fused.*"))

@@ -363,3 +363,32 @@ class TestAlternate:
         assert all(r.lr_main == 0.0 for r in report.rows[6:])
         assert len(report.epoch_sub) == 2
         assert np.isfinite(report.rows[-1].total_sub)
+
+
+class TestGuardedOutputs:
+    """A guarded term or forward that returns NaN/Inf without raising aborts
+    the run with that term named."""
+
+    def test_non_finite_loss_scalar_aborts_with_name(self, monkeypatch):
+        real = losses_mod.loss_fea
+        # log(0) is -inf: an op result, which nothing scans on the way out
+        monkeypatch.setattr(losses_mod, "loss_fea",
+                            lambda *a, **k: ad.log(real(*a, **k) * 0.0))
+        teacher, student, cfg = slim_setup(seed=16, steps=1)
+        with np.errstate(divide="ignore"), pytest.raises(TrainingAbort, match="fea") as err:
+            alternate_train(teacher, student, make_pairs(2, seed=16), cfg, verbose=False)
+        assert err.value.term == "fea"
+
+    def test_non_finite_forward_image_aborts_with_name(self, monkeypatch):
+        teacher, student, cfg = slim_setup(seed=17, steps=1)
+        real = student.forward
+
+        def nan_image(vis, ir):
+            fused, taps = real(vis, ir)
+            return ad.sqrt(fused - 2.0), taps  # sqrt of a negative is NaN
+
+        monkeypatch.setattr(student, "forward", nan_image)
+        with np.errstate(invalid="ignore"), pytest.raises(TrainingAbort) as err:
+            alternate_train(teacher, student, make_pairs(2, seed=17), cfg, verbose=False)
+        assert err.value.term == "student-forward"
+        assert "student-forward" in str(err.value)
