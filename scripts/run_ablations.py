@@ -18,7 +18,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from semfuse.data import synth_pair
 from semfuse.metrics import evaluate_triple
-from semfuse.networks import StudentConfig, StudentNet, TeacherConfig, TeacherNet
+from semfuse.networks import build_nets
 from semfuse.training import Ablations, TrainConfig, alternate_train, frozen
 
 # the full method, then one row per ablation switch in declaration order
@@ -31,9 +31,7 @@ def run_variant(name, flags, pairs, args):
     ablations = Ablations(**flags)
     cfg = TrainConfig(seed=args.seed, crop=args.size, batch=args.batch,
                       steps=args.steps, ablations=ablations)
-    teacher = TeacherNet(TeacherConfig(variant=ablations.variant()),
-                         seed=args.seed + 1)
-    student = StudentNet(StudentConfig(), seed=args.seed + 2)
+    teacher, student = build_nets(args.seed, ablations.variant())
     report = alternate_train(teacher, student, pairs, cfg, verbose=False)
 
     scores = []

@@ -23,8 +23,8 @@ from .gradcheck import build_suite
 from .imageio import Image, load_image, rgb_to_ycbcr, save_image, ycbcr_to_rgb
 from .instrumentation import delta, snapshot
 from .metrics import MetricReport, evaluate_triple
-from .networks import (StudentNet, TeacherConfig, TeacherNet, load_checkpoint,
-                       param_count, save_checkpoint)
+from .networks import (StudentNet, build_nets, load_checkpoint, param_count,
+                       save_checkpoint)
 from .priors import PriorProvider, make_patches
 from .training import (Ablations, TrainConfig, alternate_train, frozen,
                        pretrain)
@@ -176,9 +176,7 @@ def _training_pairs(cfg: RunConfig) -> list:
 def cmd_train(cfg: RunConfig) -> int:
     pairs = _training_pairs(cfg)
     train_cfg = cfg.to_train_config()
-    teacher = TeacherNet(TeacherConfig(variant=train_cfg.ablations.variant()),
-                         seed=cfg.seed + 1)
-    student = StudentNet(seed=cfg.seed + 2)
+    teacher, student = build_nets(cfg.seed, train_cfg.ablations.variant())
     if train_cfg.pretrain_epochs:
         pretrain(teacher, student, pairs, train_cfg)
     report = alternate_train(teacher, student, pairs, train_cfg,
@@ -252,20 +250,24 @@ def cmd_eval(cfg: RunConfig) -> int:
         raise UsageError("eval needs --data DIR with the source pairs")
     fused_dir = Path(cfg.fused) if cfg.fused else Path(cfg.out)
     entries = discover_pairs(cfg.data)
-    missing, rows = [], []
-    for stem, vis_path, ir_path in entries:
-        candidates = [fused_dir / f"{stem}.fused.pgm", fused_dir / f"{stem}.fused.ppm"]
-        found = [c for c in candidates if c.exists()]
-        if not found:
-            missing.append(stem)
-            continue
-        fused = _fused_gray(found[0])
-        vis, ir, _chroma = load_pair(vis_path, ir_path)
-        rep = evaluate_triple(fused, vis, ir)
-        rows.append(",".join([found[0].name]
-                             + [repr(getattr(rep, f.name)) for f in fields(rep)]))
+    found = {stem: [c for c in (fused_dir / f"{stem}.fused.pgm", fused_dir / f"{stem}.fused.ppm")
+                    if c.exists()]
+             for stem, _, _ in entries}
+    doubled = [stem for stem, paths in found.items() if len(paths) > 1]
+    if doubled:
+        raise ContractError(f"both a .fused.pgm and a .fused.ppm in {fused_dir} for: "
+                            f"{', '.join(doubled)}")
+    missing = [stem for stem, paths in found.items() if not paths]
     if missing:
         raise UsageError(f"missing fused images for: {', '.join(missing)}")
+    rows = []
+    for stem, vis_path, ir_path in entries:
+        fused_path = found[stem][0]
+        fused = _fused_gray(fused_path)
+        vis, ir, _chroma = load_pair(vis_path, ir_path)
+        rep = evaluate_triple(fused, vis, ir)
+        rows.append(",".join([fused_path.name]
+                             + [repr(getattr(rep, f.name)) for f in fields(rep)]))
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "metrics.csv"
@@ -293,9 +295,7 @@ def cmd_gradcheck(cfg: RunConfig) -> int:
 
 
 def cmd_info(cfg: RunConfig) -> int:
-    teacher = TeacherNet(TeacherConfig(variant=cfg.ablations().variant()),
-                         seed=cfg.seed + 1)
-    student = StudentNet(seed=cfg.seed + 2)
+    teacher, student = build_nets(cfg.seed, cfg.ablations().variant())
     for label, net in (("main", teacher), ("sub", student)):
         for name, t in net.named_parameters():
             print(f"{label} {name} {t.data.size}")
@@ -305,9 +305,8 @@ def cmd_info(cfg: RunConfig) -> int:
     masks_vis = provider.masks_for(vis, "vis")
     masks_ir = provider.masks_for(ir, "ir")
     with frozen(teacher.parameters()), frozen(student.parameters()):
-        ref, feats = teacher.forward(vis, ir,
-                                     make_patches(vis, masks_vis).patches,
-                                     make_patches(ir, masks_ir).patches)
+        ref, feats = teacher.forward(vis, ir, make_patches(vis, masks_vis),
+                                     make_patches(ir, masks_ir))
         fus, taps = student.forward(vis, ir)
     print(f"main output {tuple(ref.shape)}")
     for i, f in enumerate(feats):
@@ -386,7 +385,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         cfg = resolve(args)
         _echo(cfg)
-        return _COMMANDS[cfg.command][0](cfg)
+        # numpy's own overflow warnings would print before the named abort;
+        # finiteness is checked where a culprit can be named instead
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return _COMMANDS[cfg.command][0](cfg)
     except (TrainingAbort, NonFiniteError) as exc:
         # first: NonFiniteError is a ContractError
         print(f"numerical abort: {exc}", file=sys.stderr)

@@ -70,14 +70,21 @@ def write_dataset(directory, count: int, h: int = 32, w: int = 32,
 def discover_pairs(directory) -> list:
     """All (stem, vis_path, ir_path) pairs in a directory, sorted by stem.
 
-    Every visible file needs its infrared partner and vice versa; any
-    orphans abort discovery with their stems listed.
+    Every visible file needs its infrared partner and vice versa, and a
+    stem has one visible file, .pgm or .ppm; orphans or doubled stems
+    abort discovery with their stems listed.
     """
     directory = Path(directory)
-    vis_files = {}
+    vis_files, doubled = {}, []
     for ext in ("pgm", "ppm"):
         for p in directory.glob(f"*.vis.{ext}"):
-            vis_files[p.name[:-8]] = p
+            stem = p.name[:-8]
+            if stem in vis_files:
+                doubled.append(stem)
+            vis_files[stem] = p
+    if doubled:
+        raise ContractError(f"stems with both a .vis.pgm and a .vis.ppm in {directory}: "
+                            f"{', '.join(sorted(doubled))}")
     ir_files = {p.name[:-7]: p for p in directory.glob("*.ir.pgm")}
     orphans = sorted(set(vis_files) ^ set(ir_files))
     if orphans:

@@ -236,6 +236,15 @@ class StudentNet(ParamModule):
         return ad.sigmoid(out), taps
 
 
+def build_nets(seed: int, variant: str = "full") -> tuple[TeacherNet, StudentNet]:
+    """The teacher/student pair of a run at `seed`: teacher seed+1, student seed+2.
+
+    perfbench/workloads.py builds its pair with its own copy of this rule,
+    which must agree with it.
+    """
+    return TeacherNet(TeacherConfig(variant=variant), seed=seed + 1), StudentNet(seed=seed + 2)
+
+
 # ---------------------------------------------------------------------------
 # checkpoint format: MAGIC, 32-byte config digest, then per parameter in
 # declaration order: u16 name length, name, u8 ndim, u32 dims, float64 LE data.

@@ -8,7 +8,6 @@ a pure function of its inputs and a seed.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,8 +19,6 @@ from .autodiff import Tensor
 from .errors import ContractError
 from .imageio import quantize
 from .instrumentation import bump
-
-log = logging.getLogger(__name__)
 
 # Default seeds for the frozen stand-in networks. Fixed constants so the
 # provider behaves like a pretrained component, independent of run seeds.
@@ -50,14 +47,6 @@ class MaskSet:
         for m in self.masks:
             out |= m
         return out
-
-
-@dataclass
-class PatchSet:
-    """Masked copies of the source image, aligned with a MaskSet."""
-
-    patches: list[np.ndarray]
-    source_modality: str
 
 
 def otsu_threshold(img: np.ndarray) -> int | None:
@@ -146,12 +135,12 @@ def random_rect_masks(img: np.ndarray, top_k: int, rng: np.random.Generator,
     return MaskSet([r[2] for r in rects], modality, [r[0] for r in rects])
 
 
-def make_patches(img: np.ndarray, masks: MaskSet) -> PatchSet:
-    """Elementwise mask application: patch_i = img * mask_i."""
+def make_patches(img: np.ndarray, masks: MaskSet) -> list[np.ndarray]:
+    """Masked copies of the source, aligned with `masks`: patch_i = img * mask_i."""
     bump("provider")
     if any(m.shape != img.shape for m in masks.masks):
         raise ContractError("mask shape does not match image")
-    return PatchSet([img * m for m in masks.masks], masks.source_modality)
+    return [img * m for m in masks.masks]
 
 
 class FrozenEncoder:
@@ -183,9 +172,6 @@ class FrozenEncoder:
             feats.append(cur)
         return feats
 
-    def encode_image(self, img: np.ndarray) -> list[np.ndarray]:
-        return [f.data for f in self.forward(Tensor(img[None]))]
-
 
 class SegmentationStub:
     """Frozen seeded conv head emitting a per-pixel class distribution."""
@@ -207,9 +193,6 @@ class SegmentationStub:
         cols = ad.transpose2d(ad.reshape(logits, (c, hh * ww)))   # pixels as rows
         probs = ad.transpose2d(ad.softmax_rows(cols))
         return ad.reshape(probs, (c, hh, ww))
-
-    def predict_image(self, img: np.ndarray) -> np.ndarray:
-        return self.forward(Tensor(img[None])).data
 
 
 def synth_labels(masks_vis: MaskSet, masks_ir: MaskSet, n_classes: int) -> np.ndarray:

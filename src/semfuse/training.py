@@ -208,7 +208,7 @@ def _teach(state: TrainState, vis, ir):
     """Masks for both sources, then the guarded teacher forward: (mv, mi, ref, feats)."""
     mv = state.provider.masks_for(vis, "vis", rng=state.rng)
     mi = state.provider.masks_for(ir, "ir", rng=state.rng)
-    pv, pi = make_patches(vis, mv).patches, make_patches(ir, mi).patches
+    pv, pi = make_patches(vis, mv), make_patches(ir, mi)
     ref, feats = _guard("teacher-forward", lambda: state.teacher.forward(vis, ir, pv, pi))
     return mv, mi, ref, feats
 
@@ -463,14 +463,3 @@ def pretrain(teacher: TeacherNet, student: StudentNet, pairs, cfg: TrainConfig) 
     state.rng = np.random.default_rng([cfg.seed, 331])
     total = cfg.pretrain_epochs * math.ceil(len(pairs) / cfg.batch)
     _run(state, pairs, total, _pretrain_step, TrainReport(), verbose=False)
-
-
-def source_fidelity(state: TrainState, pairs) -> tuple:
-    """Mean context loss of each net's output against both sources."""
-    totals = []
-    with frozen(state.teacher.parameters()), frozen(state.student.parameters()):
-        for forward in (_teacher_out, _student_out):
-            vals = [float(_source_loss(forward(state, vis, ir), vis, ir).data)
-                    for vis, ir in pairs]
-            totals.append(float(np.mean(vals)))
-    return totals[0], totals[1]

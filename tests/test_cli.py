@@ -5,6 +5,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -134,7 +135,7 @@ class TestSettings:
                                                        monkeypatch, argv):
         def no_work(*_a, **_k):
             raise AssertionError("work started before the settings were validated")
-        for name in ("synth_pair", "discover_pairs", "TeacherNet", "StudentNet",
+        for name in ("synth_pair", "discover_pairs", "build_nets", "StudentNet",
                      "build_suite"):
             monkeypatch.setattr(cli, name, no_work)
         out = tmp_path / "run"
@@ -149,7 +150,7 @@ class TestSettings:
                                                         monkeypatch, extra):
         def no_work(*_a, **_k):
             raise AssertionError("work started before the schedule was validated")
-        for name in ("synth_pair", "TeacherNet", "StudentNet", "pretrain"):
+        for name in ("synth_pair", "build_nets", "StudentNet", "pretrain"):
             monkeypatch.setattr(cli, name, no_work)
         out = tmp_path / "run"
         rc, _, err = run(capsys, "train", "--synthetic", "2", "--epochs", "0",
@@ -423,6 +424,22 @@ class TestEval:
         assert abs(float(cols[4]) - 1.0) <= 1e-6   # ms_ssim_mean
         assert abs(float(cols[5]) - 2.0) <= 1e-6   # ms_ssim_sum
 
+    def test_stem_with_pgm_and_ppm_fused_exits_1(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        write_dataset(data, 2, h=16, w=16, seed=3)
+        fused = tmp_path / "fused"
+        fused.mkdir()
+        for stem in ("pair000", "pair001"):
+            vis, ir, _ = load_pair(data / f"{stem}.vis.pgm", data / f"{stem}.ir.pgm")
+            save_image(Image((vis + ir) / 2.0), fused / f"{stem}.fused.pgm")
+        save_image(Image(np.stack([vis] * 3, axis=-1)), fused / "pair001.fused.ppm")
+        out = tmp_path / "rep"
+        rc, _, err = run(capsys, "eval", "--data", str(data), "--fused",
+                         str(fused), "--out", str(out))
+        assert rc == 1 and err.startswith("error:"), err
+        assert "pair001" in err and "pair000" not in err
+        assert not (out / "metrics.csv").exists()
+
     def test_matches_module_oracle(self, tmp_path, capsys):
         data = tmp_path / "data"
         write_dataset(data, 2, h=32, w=32, seed=3)
@@ -564,3 +581,18 @@ class TestFuseNonFinite:
         assert rc == 2 and err.startswith("numerical abort:")
         assert stems[0] in err
         assert not list((tmp_path / "f").glob("*.fused.*"))
+
+    def test_named_abort_comes_before_any_numpy_warning(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        stems = write_dataset(data, 1, h=16, w=16, seed=2)
+        student = StudentNet(StudentConfig(), seed=3)
+        for _, t in student.named_parameters():
+            t.data = t.data * 1e200
+        save_checkpoint(tmp_path / "sub.ckpt", student)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc, _, err = run(capsys, "fuse", "--data", str(data),
+                             "--ckpt", str(tmp_path / "sub.ckpt"), "--out", str(tmp_path / "f"))
+        assert rc == 2
+        first = err.splitlines()[0]
+        assert first.startswith("numerical abort:") and stems[0] in first

@@ -77,6 +77,14 @@ class TestWriteDiscover:
         with pytest.raises(ContractError):
             discover_pairs(tmp_path)
 
+    def test_stem_with_pgm_and_ppm_visible_rejected(self, tmp_path):
+        write_dataset(tmp_path, 2, 16, 16, seed=1)
+        vis = load_pair(tmp_path / "pair001.vis.pgm", tmp_path / "pair001.ir.pgm")[0]
+        save_image(Image(np.stack([vis] * 3, axis=-1)), tmp_path / "pair001.vis.ppm")
+        with pytest.raises(ContractError, match="pair001") as err:
+            discover_pairs(tmp_path)
+        assert "pair000" not in str(err.value)
+
     def test_color_visible_pair(self, tmp_path):
         rng = np.random.default_rng(8)
         rgb = quantize(rng.uniform(size=(12, 12, 3))) / 255.0

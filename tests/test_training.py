@@ -16,8 +16,8 @@ from semfuse.networks import StudentConfig, StudentNet, TeacherConfig, TeacherNe
 from semfuse.priors import make_patches, synth_labels
 from semfuse.training import (Ablations, Adam, TrainConfig, alternate_train,
                               clip_global_norm, cosine_lr, diverged, frozen,
-                              main_phase, make_state, pretrain,
-                              source_fidelity, sub_phase)
+                              main_phase, make_state, pretrain, sub_phase)
+from semfuse.training import _source_loss, _student_out, _teacher_out
 
 SLIM_T = TeacherConfig(base_channels=4, token_width=8, stages=3, heads=2, head_dim=4)
 SLIM_S = StudentConfig(stem_channels=8, growth=4, layers_per_block=4, blocks=3, tap_width=8)
@@ -34,6 +34,17 @@ def slim_setup(seed=0, **cfg_kw):
     teacher = TeacherNet(SLIM_T, seed=seed + 1)
     student = StudentNet(SLIM_S, seed=seed + 2)
     return teacher, student, cfg
+
+
+def source_fidelity(state, pairs) -> tuple:
+    """Mean context loss of each net's output against both sources."""
+    totals = []
+    with frozen(state.teacher.parameters()), frozen(state.student.parameters()):
+        for forward in (_teacher_out, _student_out):
+            vals = [float(_source_loss(forward(state, vis, ir), vis, ir).data)
+                    for vis, ir in pairs]
+            totals.append(float(np.mean(vals)))
+    return totals[0], totals[1]
 
 
 def param_bytes(net):
@@ -188,8 +199,7 @@ class TestPhases:
         vis, ir = make_pairs(1, seed=5)[0]
         mv = state.provider.masks_for(vis, "vis")
         mi = state.provider.masks_for(ir, "ir")
-        ref, _ = teacher.forward(vis, ir, make_patches(vis, mv).patches,
-                                 make_patches(ir, mi).patches)
+        ref, _ = teacher.forward(vis, ir, make_patches(vis, mv), make_patches(ir, mi))
         seg = loss_seg(state.stub.forward(ref),
                        synth_labels(mv, mi, state.stub.n_classes))
         ad.backward(seg)
