@@ -1,12 +1,11 @@
 """Dense float64 tensors with reverse-mode differentiation.
 
 Covers exactly what the fusion pipeline needs: broadcasting elementwise
-arithmetic, 2-d matmul, strided conv2d (over one map or a channel stack
-of maps), row softmax, a Sobel filter and the usual pointwise
-nonlinearities. Every operation records, for each input that requires a
-gradient, one hand-written backward rule; ``backward`` replays the
-records in reverse topological order. The rules are verified against
-central finite differences in the test suite.
+arithmetic, slicing, 2-d matmul, strided conv2d, row softmax, a Sobel
+filter and the usual pointwise nonlinearities. Every operation records,
+for each input that requires a gradient, one hand-written backward rule;
+``backward`` replays the records in reverse topological order. The rules
+are verified against central finite differences in the test suite.
 """
 from __future__ import annotations
 
@@ -347,6 +346,21 @@ def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
     return _from_op(out, *edges)
 
 
+def index(a, key: tuple[slice, ...]) -> Tensor:
+    """The window a[key], copied; `key` is a tuple of slices."""
+    a = _as_tensor(a)
+    if not isinstance(key, tuple) or not all(isinstance(s, slice) for s in key):
+        raise ContractError(f"index needs a tuple of slices, got {key!r}")
+    out = a.data[key].copy()
+
+    def rule(g):
+        full = np.zeros_like(a.data)
+        full[key] = g
+        return full
+
+    return _from_op(out, (a, rule))
+
+
 def rows(a, start: int, stop: int) -> Tensor:
     """Contiguous row slice of a 2-d tensor."""
     a = _as_tensor(a)
@@ -354,14 +368,7 @@ def rows(a, start: int, stop: int) -> Tensor:
         raise ShapeError(f"rows needs a 2-d tensor, got shape {a.data.shape}")
     if not (0 <= start < stop <= a.data.shape[0]):
         raise ShapeError(f"row slice [{start}:{stop}] out of range for shape {a.data.shape}")
-    out = a.data[start:stop].copy()
-
-    def rule(g):
-        full = np.zeros_like(a.data)
-        full[start:stop] = g
-        return full
-
-    return _from_op(out, (a, rule))
+    return index(a, (slice(start, stop),))
 
 
 def crop2d(a, height: int, width: int) -> Tensor:
@@ -370,14 +377,7 @@ def crop2d(a, height: int, width: int) -> Tensor:
     c, h, w = a.data.shape
     if height > h or width > w:
         raise ShapeError(f"crop to {height}x{width} exceeds input {h}x{w}")
-    out = a.data[:, :height, :width].copy()
-
-    def rule(g):
-        full = np.zeros_like(a.data)
-        full[:, :height, :width] = g
-        return full
-
-    return _from_op(out, (a, rule))
+    return index(a, (slice(None), slice(height), slice(width)))
 
 
 def upsample_nearest2(a) -> Tensor:
@@ -452,18 +452,15 @@ def softmax_rows(a) -> Tensor:
 # convolution
 
 
-def _im2col(xp: Array, k: int, stride: int, ho: int, wo: int, out: Array | None = None) -> Array:
+def _im2col(xp: Array, k: int, stride: int, ho: int, wo: int) -> Array:
     """Columns of padded `xp`: row (c, di, dj) holds xp[c, di + stride*i, dj + stride*j].
 
-    Each of the k*k shifted slices is copied straight into `out`, which
-    must be a contiguous (C*k*k, ho*wo) array; one is allocated if absent.
     A 1x1 stride-1 window is `xp` itself, so it comes back as a view.
     """
     c = xp.shape[0]
-    if out is None:
-        if k == 1 and stride == 1:
-            return xp.reshape(c, ho * wo)
-        out = np.empty((c * k * k, ho * wo))
+    if k == 1 and stride == 1:
+        return xp.reshape(c, ho * wo)
+    out = np.empty((c * k * k, ho * wo))
     view = out.reshape(c, k, k, ho, wo)
     for di in range(k):
         for dj in range(k):
@@ -481,101 +478,42 @@ def _col2im(gcols: Array, c: int, hp: int, wp: int, k: int, stride: int,
     return gx
 
 
-class Columns:
-    """One im2col buffer for a growing stack of feature maps, owned by its caller.
-
-    Successive `conv2d` calls pass part lists that extend one another (a
-    dense block's f0, then f0 f1, ...). Each part's rows are written once,
-    the first time a call sees it, below the rows of the parts before it;
-    a call reads the top rows its parts cover, which is exactly the im2col
-    of their channel concatenation. `channels` bounds the whole stack.
-    """
-
-    __slots__ = ("channels", "data", "parts", "geometry")
-
-    def __init__(self, channels: int):
-        self.channels = channels
-        self.data: Array | None = None
-        self.parts: list[Tensor] = []
-        self.geometry: tuple | None = None
-
-    def fill(self, parts: list[Tensor], k: int, padding: int, stride: int,
-             ho: int, wo: int) -> Array:
-        geometry = (parts[0].data.shape[1:], k, padding, stride)
-        if self.data is None:
-            self.data = np.empty((self.channels * k * k, ho * wo))
-            self.geometry = geometry
-        if geometry != self.geometry or any(a is not b for a, b in zip(self.parts, parts)):
-            raise ContractError("column buffer reused with another geometry or part list")
-        need = sum(p.data.shape[0] for p in parts) * k * k
-        if need > self.data.shape[0]:
-            raise ShapeError(f"column buffer holds {self.channels} channels, "
-                             f"parts need {need // (k * k)}")
-        row = sum(p.data.shape[0] for p in self.parts) * k * k
-        for p in parts[len(self.parts):]:
-            end = row + p.data.shape[0] * k * k
-            _im2col(_pad(p.data, padding), k, stride, ho, wo, out=self.data[row:end])
-            self.parts.append(p)
-            row = end
-        return self.data[:need]
-
-
-def _pad(x: Array, padding: int) -> Array:
-    return np.pad(x, ((0, 0), (padding, padding), (padding, padding))) if padding else x
-
-
-def conv2d(x, w, padding: int = 0, stride: int = 1, cols: Columns | None = None) -> Tensor:
+def conv2d(x, w, padding: int = 0, stride: int = 1) -> Tensor:
     """2-d cross-correlation of (C_in, H, W) with (C_out, C_in, k, k).
 
-    `x` may also be a list of (C_i, H, W) tensors, read as their channel
-    concatenation; `cols` then lets calls over a growing list share one
-    column buffer (see `Columns`). Zero padding; output side is
-    (H + 2*padding - k) // stride + 1. The kernel must be square with odd
-    side.
+    Zero padding; output side is (H + 2*padding - k) // stride + 1. The
+    kernel must be square with odd side.
     """
-    parts = [_as_tensor(p) for p in x] if isinstance(x, (list, tuple)) else [_as_tensor(x)]
-    w = _as_tensor(w)
-    shapes = [p.data.shape for p in parts]
-    if not parts or any(len(s) != 3 for s in shapes) or w.data.ndim != 4:
-        raise ShapeError(f"conv2d needs (C,H,W) x (O,C,k,k), got {shapes} and {w.data.shape}")
-    if any(s[1:] != shapes[0][1:] for s in shapes):
-        raise ShapeError(f"conv2d parts differ in spatial size: {shapes}")
-    cin, h, wd = sum(s[0] for s in shapes), shapes[0][1], shapes[0][2]
+    x, w = _as_tensor(x), _as_tensor(w)
+    if x.data.ndim != 3 or w.data.ndim != 4:
+        raise ShapeError(f"conv2d needs (C,H,W) x (O,C,k,k), got {x.data.shape} and {w.data.shape}")
+    cin, h, wd = x.data.shape
     cout, cin_w, k, k2 = w.data.shape
     if k != k2 or k % 2 == 0:
         raise ShapeError(f"conv2d kernel must be square with odd side, got {w.data.shape}")
     if cin != cin_w:
-        raise ShapeError(f"conv2d channel mismatch: input {(cin, h, wd)} vs kernel {w.data.shape}")
+        raise ShapeError(f"conv2d channel mismatch: input {x.data.shape} vs kernel {w.data.shape}")
     if padding < 0 or stride < 1:
         raise ContractError(f"conv2d invalid padding={padding} stride={stride}")
     ho = (h + 2 * padding - k) // stride + 1
     wo = (wd + 2 * padding - k) // stride + 1
     if ho < 1 or wo < 1:
-        raise ShapeError(f"conv2d output would be empty for input {(cin, h, wd)}, "
+        raise ShapeError(f"conv2d output would be empty for input {x.data.shape}, "
                          f"kernel {w.data.shape}, padding {padding}, stride {stride}")
-    if cols is None and len(parts) == 1:
-        mat = _im2col(_pad(parts[0].data, padding), k, stride, ho, wo)
-    else:
-        mat = (cols if cols is not None else Columns(cin)).fill(parts, k, padding, stride, ho, wo)
+    xp = np.pad(x.data, ((0, 0), (padding, padding), (padding, padding))) if padding else x.data
+    mat = _im2col(xp, k, stride, ho, wo)
     w2 = w.data.reshape(cout, cin * k * k)
     out = (w2 @ mat).reshape(cout, ho, wo)
     hp, wp = h + 2 * padding, wd + 2 * padding
 
-    def part_rule(row: int, c: int):
-        def rule(g):
-            gcols = w2[:, row:row + c * k * k].T @ g.reshape(cout, ho * wo)
-            gxp = _col2im(gcols, c, hp, wp, k, stride, ho, wo)
-            return gxp[:, padding:padding + h, padding:padding + wd] if padding else gxp
-        return rule
+    def input_rule(g):
+        gxp = _col2im(w2.T @ g.reshape(cout, ho * wo), cin, hp, wp, k, stride, ho, wo)
+        return gxp[:, padding:padding + h, padding:padding + wd] if padding else gxp
 
     def weight_rule(g):
         return (g.reshape(cout, ho * wo) @ mat.T).reshape(w.data.shape)
 
-    edges, row = [], 0
-    for p, (c, _, _) in zip(parts, shapes):
-        edges.append((p, part_rule(row, c)))
-        row += c * k * k
-    return _from_op(out, *edges, (w, weight_rule))
+    return _from_op(out, (x, input_rule), (w, weight_rule))
 
 
 def _sobel_core(xp: Tensor, h: int, w: int) -> Tensor:

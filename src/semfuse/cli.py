@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -379,6 +380,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, *_where) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -386,8 +391,11 @@ def main(argv=None) -> int:
         cfg = resolve(args)
         _echo(cfg)
         # numpy's own overflow warnings would print before the named abort;
-        # finiteness is checked where a culprit can be named instead
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # finiteness is checked where a culprit can be named instead. A
+        # warning prints as one line, without source path or code line.
+        with (np.errstate(over="ignore", invalid="ignore", divide="ignore"),
+              warnings.catch_warnings()):
+            warnings.showwarning = _print_warning
             return _COMMANDS[cfg.command][0](cfg)
     except (TrainingAbort, NonFiniteError) as exc:
         # first: NonFiniteError is a ContractError

@@ -109,9 +109,9 @@ def _image(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x)[None])
 
 
-def _conv_block(x: Tensor | list[Tensor], w: Tensor, b: Tensor, padding: int, stride: int = 1,
-                activate: bool = True, cols: ad.Columns | None = None) -> Tensor:
-    out = ad.conv2d(x, w, padding=padding, stride=stride, cols=cols)
+def _conv_block(x: Tensor, w: Tensor, b: Tensor, padding: int, stride: int = 1,
+                activate: bool = True) -> Tensor:
+    out = ad.conv2d(x, w, padding=padding, stride=stride)
     out = out + ad.reshape(b, (b.size, 1, 1))
     return ad.leaky_relu(out, LEAKY_SLOPE) if activate else out
 
@@ -119,16 +119,30 @@ def _conv_block(x: Tensor | list[Tensor], w: Tensor, b: Tensor, padding: int, st
 def dense_block(x: Tensor, layer_params: list[tuple[Tensor, Tensor]]) -> Tensor:
     """Densely connected conv layers: each consumes every prior feature map.
 
-    Each layer convolves the list of prior maps through one column buffer,
-    so every map is im2col'd once, not once per later layer; only the
-    block output is concatenated. Output channels = input channels +
-    growth * len(layer_params).
+    Input-stationary: once a map is ready (the block input or a layer's
+    output), one conv applies the input-channel slices of every later
+    layer's kernel that read it, stacked along the output axis, and each of
+    those layers adds its rows of the result to its sum. So every map is
+    convolved once, and only the block output is concatenated. Output
+    channels = input channels + the layers' output channels.
     """
-    feats = [x]
-    # the last layer reads every map but its own output
-    cols = ad.Columns(x.shape[0] + sum(w.shape[0] for w, _ in layer_params[:-1]))
-    for w, b in layer_params:
-        feats.append(_conv_block(feats, w, b, padding=1, cols=cols))
+    widths = [x.shape[0]] + [w.shape[0] for w, _ in layer_params]
+    for j, (w, _) in enumerate(layer_params):
+        if w.shape[1] != sum(widths[:j + 1]):
+            raise ShapeError(f"dense layer {j} kernel {w.shape} does not read {widths[:j + 1]}")
+    feats, sums = [x], [None] * len(layer_params)
+    for j, (_, b) in enumerate(layer_params):
+        lo = sum(widths[:j])
+        later = [w for w, _ in layer_params[j:]]
+        window = (slice(None), slice(lo, lo + widths[j]))
+        stacked = ad.concat([ad.index(w, window) for w in later], axis=0)
+        resp = ad.conv2d(feats[j], stacked, padding=1)
+        row = 0
+        for i, w in enumerate(later, start=j):
+            piece = ad.index(resp, (slice(row, row + w.shape[0]),))
+            sums[i] = piece if sums[i] is None else sums[i] + piece
+            row += w.shape[0]
+        feats.append(ad.leaky_relu(sums[j] + ad.reshape(b, (b.size, 1, 1)), LEAKY_SLOPE))
     return ad.concat(feats, axis=0)
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from semfuse import autodiff as ad
 from semfuse.errors import ContractError, NonFiniteError, ShapeError
 from semfuse.gradcheck import check_scalar_fn
+from semfuse.networks import dense_block
 
 
 @pytest.fixture
@@ -191,24 +192,25 @@ class TestEdges:
         assert np.array_equal(x.grad, np.broadcast_to(w.data.sum(axis=1), (2, 3)))
 
     def test_constant_parts_leave_trainable_grads_unchanged(self, rng):
-        parts_data = [rng.normal(size=(c, 5, 6)) for c in (2, 1, 3)]
-        w_data = rng.normal(size=(4, 6, 3, 3))
-        coef = rng.normal(size=(4, 5, 6))
+        x_data = rng.normal(size=(3, 5, 6))
+        layers = [(ad.Tensor(rng.normal(size=(2, 3 + 2 * j, 3, 3)) * 0.3, requires_grad=True),
+                   ad.Tensor(rng.normal(size=2) * 0.1, requires_grad=True)) for j in range(3)]
+        params = [t for pair in layers for t in pair]
+        coef = rng.normal(size=(9, 5, 6))
 
         def grads(trainable):
-            parts = [ad.Tensor(p, requires_grad=t) for p, t in zip(parts_data, trainable)]
-            w = ad.Tensor(w_data, requires_grad=True)
-            ad.tsum(ad.mul(ad.conv2d(parts, w, padding=1), coef)).backward()
-            return [p.grad for p in parts] + [w.grad]
+            x = ad.Tensor(x_data, requires_grad=trainable)
+            for t in params:
+                t.zero_grad()
+            ad.tsum(ad.mul(ad.square(dense_block(x, layers)), coef)).backward()
+            return x.grad, [t.grad for t in params]
 
-        want = grads([True, True, True])
-        for trainable in ([False, True, False], [True, False, True], [False, False, True]):
-            got = grads(trainable)
-            for g, ref, t in zip(got, want, trainable + [True]):
-                if t:
-                    assert np.array_equal(g, ref)
-                else:
-                    assert g is None
+        x_grad, want = grads(True)
+        frozen_x_grad, got = grads(False)
+        assert x_grad is not None and frozen_x_grad is None
+        assert len(got) == len(want) == 6
+        for g, ref in zip(got, want):
+            assert g.tobytes() == ref.tobytes()
 
 
 # --------------------------------------------------------------------------
@@ -303,17 +305,6 @@ def im2col_oracle(xp, k, stride):
     return win.transpose(0, 3, 4, 1, 2).reshape(xp.shape[0] * k * k, -1)
 
 
-def list_conv_grads(parts_data, w_data, padding, as_list):
-    """Forward output and (part grads..., w grad) of sum(conv * fixed weights)."""
-    parts = [ad.Tensor(p, requires_grad=True) for p in parts_data]
-    w = ad.Tensor(w_data, requires_grad=True)
-    x = parts if as_list else ad.concat(parts, axis=0)
-    out = ad.conv2d(x, w, padding=padding)
-    coef = np.random.default_rng(5).normal(size=out.shape)
-    ad.tsum(ad.mul(out, coef)).backward()
-    return out.data, [p.grad for p in parts] + [w.grad]
-
-
 class TestIm2col:
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("stride", [1, 2])
@@ -326,58 +317,10 @@ class TestIm2col:
         wo = (side[1] + 2 * padding - k) // stride + 1
         got = ad._im2col(xp, k, stride, ho, wo)
         assert np.array_equal(got, im2col_oracle(xp, k, stride))
-        out = np.full((3 * k * k, ho * wo), np.nan)
-        assert ad._im2col(xp, k, stride, ho, wo, out=out) is out
-        assert np.array_equal(out, im2col_oracle(xp, k, stride))
 
     def test_pointwise_window_is_a_view(self, rng):
         x = rng.normal(size=(4, 5, 6))
         assert np.shares_memory(ad._im2col(x, 1, 1, 5, 6), x)
-
-
-class TestConv2dOverParts:
-    def test_gradients_vs_fd(self, rng):
-        parts = {f"x{i}": ad.Tensor(rng.normal(size=(c, 5, 7)), requires_grad=True)
-                 for i, c in enumerate((1, 2, 3))}
-        w = ad.Tensor(rng.normal(size=(2, 6, 3, 3)) * 0.5, requires_grad=True)
-
-        def build():
-            return ad.tsum(ad.square(ad.conv2d(list(parts.values()), w, padding=1)))
-
-        res = check_scalar_fn("conv2d_parts", build, {**parts, "w": w}, h=1e-5)
-        assert res.passed, res.per_tensor
-        assert set(res.per_tensor) == {"x0", "x1", "x2", "w"}
-
-    @pytest.mark.parametrize("side", [(3, 3), (5, 7)])
-    def test_equals_conv_of_concat(self, rng, side):
-        parts = [rng.normal(size=(c, *side)) for c in (2, 1, 3)]
-        w = rng.normal(size=(4, 6, 3, 3))
-        want_out, want_grads = list_conv_grads(parts, w, 1, as_list=False)
-        got_out, got_grads = list_conv_grads(parts, w, 1, as_list=True)
-        assert np.array_equal(got_out, want_out)
-        assert len(got_grads) == len(want_grads) == 4
-        for got, want in zip(got_grads, want_grads):
-            assert np.array_equal(got, want)
-
-    def test_shared_buffer_writes_each_part_once(self, rng):
-        f = [ad.Tensor(rng.normal(size=(c, 4, 6))) for c in (3, 2, 2)]
-        cols = ad.Columns(7)
-        for j in (1, 2, 3):
-            w = rng.normal(size=(2, sum(p.shape[0] for p in f[:j]), 3, 3))
-            got = ad.conv2d(f[:j], ad.Tensor(w), padding=1, cols=cols)
-            want = ad.conv2d(ad.concat(f[:j], axis=0), ad.Tensor(w), padding=1)
-            assert np.array_equal(got.data, want.data)
-        assert cols.parts == f and cols.data.shape == (7 * 9, 24)
-        with pytest.raises(ContractError):
-            ad.conv2d([f[1]], ad.Tensor(np.ones((1, 2, 3, 3))), padding=1, cols=cols)
-
-    def test_buffer_overflow_and_mismatched_parts_raise(self):
-        with pytest.raises(ShapeError):
-            ad.conv2d([ad.Tensor(np.ones((2, 4, 4)))], ad.Tensor(np.ones((1, 2, 3, 3))),
-                      cols=ad.Columns(1))
-        with pytest.raises(ShapeError):
-            ad.conv2d([ad.Tensor(np.ones((1, 4, 4))), ad.Tensor(np.ones((1, 4, 5)))],
-                      ad.Tensor(np.ones((1, 2, 3, 3))))
 
 
 # --------------------------------------------------------------------------
@@ -472,6 +415,23 @@ class TestShapeOps:
         assert ad.upsample_nearest2(x).shape == (2, 6, 8)
         res = check_scalar_fn("upsample_crop", build, {"x": x}, h=1e-5)
         assert res.passed
+
+    def test_index_copies_the_window_and_scatters_its_grad(self, rng):
+        x = ad.Tensor(rng.normal(size=(3, 5, 6)), requires_grad=True)
+        key = (slice(1, 3), slice(None), slice(2, 5))
+        out = ad.index(x, key)
+        assert np.array_equal(out.data, x.data[1:3, :, 2:5])
+        assert not np.shares_memory(out.data, x.data)
+        ad.tsum(out).backward()
+        want = np.zeros(x.shape)
+        want[1:3, :, 2:5] = 1.0
+        assert np.array_equal(x.grad, want)
+        x.zero_grad()
+        res = check_scalar_fn("index", lambda: ad.tsum(ad.square(ad.index(x, key))),
+                              {"x": x}, h=1e-5)
+        assert res.passed, res.per_tensor
+        with pytest.raises(ContractError):
+            ad.index(x, (0, slice(None)))
 
     def test_concat_rows_split_grads(self, rng):
         a = ad.Tensor(rng.normal(size=(2, 4)), requires_grad=True)

@@ -478,6 +478,21 @@ class TestEval:
         assert blobs[0] == blobs[1]
         assert blobs[0].decode().splitlines()[1].startswith("t.fused.pgm,")
 
+    def test_small_pairs_warn_in_one_line(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        write_dataset(data, 2, h=24, w=24, seed=3)
+        fused = tmp_path / "fused"
+        fused.mkdir()
+        for stem in ("pair000", "pair001"):
+            vis, ir, _ = load_pair(data / f"{stem}.vis.pgm", data / f"{stem}.ir.pgm")
+            save_image(Image((vis + ir) / 2.0), fused / f"{stem}.fused.pgm")
+        rc, _, err = run(capsys, "eval", "--data", str(data), "--fused",
+                         str(fused), "--out", str(tmp_path / "rep"))
+        assert rc == 0
+        assert "warning: min side 24 supports only 2 of 5 scales; weights renormalized" \
+            in err.splitlines()
+        assert "UserWarning" not in err and "warnings.warn(" not in err
+
     def test_missing_fused_listed(self, tmp_path, capsys):
         data, fused, _ = self._identity_setup(tmp_path)
         (fused / "t.fused.pgm").unlink()

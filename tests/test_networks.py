@@ -1,5 +1,6 @@
 """Network shapes, parameter accounting, checkpoints, gradient flow."""
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from semfuse import autodiff as ad
 from semfuse.attention import VARIANTS
 from semfuse.autodiff import Tensor
+from semfuse.data import synth_pair
 from semfuse.errors import CheckpointError, ContractError, ShapeError
 from semfuse.gradcheck import build_suite, check_scalar_fn, jitter
 from semfuse.networks import (StudentConfig, StudentNet, TeacherConfig,
@@ -136,8 +138,33 @@ class TestDenseBlock:
             results.append([out.data] + [t.grad for t in leaves])
         want, got = results
         assert len(got) == len(want) == 10
+        # each layer's sum is split by input map, so only the last ulps may move
         for a, b in zip(got, want):
-            assert a.tobytes() == b.tobytes()
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+    def test_kernel_that_misreads_the_maps_rejected(self):
+        x = Tensor(np.ones((4, 5, 5)))
+        layers = [(Tensor(np.ones((2, 4, 3, 3))), Tensor(np.zeros(2))),
+                  (Tensor(np.ones((2, 5, 3, 3))), Tensor(np.zeros(2)))]
+        with pytest.raises(ShapeError, match="dense layer 1"):
+            dense_block(x, layers)
+
+
+class TestInferenceMemory:
+    def test_frozen_student_peak_is_bounded_per_pixel(self):
+        # a dense block holds one map's columns at a time (at most 288 rows);
+        # one buffer for all of a block's maps (720 rows) peaks at 1,024
+        side = 64
+        vis, ir = synth_pair(0, side, side)
+        net = StudentNet()
+        with ad.frozen(net.parameters()):
+            tracemalloc.start()
+            try:
+                net.forward(vis, ir)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak <= 600 * side * side * 8, f"{peak / (side * side * 8):.0f} float64 per pixel"
 
 
 class TestParamCount:
