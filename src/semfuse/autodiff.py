@@ -281,10 +281,12 @@ def sigmoid(a) -> Tensor:
 
 
 def leaky_relu(a, slope: float = 0.2) -> Tensor:
+    """max(a, slope * a), which for 0 <= slope <= 1 is a where a >= 0, else slope * a."""
+    if not 0.0 <= slope <= 1.0:
+        raise ContractError(f"leaky_relu slope must lie in [0, 1], got {slope}")
     a = _as_tensor(a)
-    mask = a.data >= 0
-    out = np.where(mask, a.data, slope * a.data)
-    return _from_op(out, (a, lambda g: g * np.where(mask, 1.0, slope)))
+    return _from_op(np.maximum(a.data, slope * a.data),
+                    (a, lambda g: g * np.where(a.data >= 0, 1.0, slope)))
 
 
 # ---------------------------------------------------------------------------
@@ -451,11 +453,20 @@ def softmax_rows(a) -> Tensor:
 # ---------------------------------------------------------------------------
 # convolution
 
+# Output pixels per GEMM in a frozen-weight conv. One (C_in*k*k, 4096)
+# column buffer, at most 9.4 MB at 288 rows, is reused by every block and
+# read back while still in cache; a full-image column matrix is written
+# to freshly faulted pages and read back from memory.
+BLOCK_PX = 4096
+
 
 def _im2col(xp: Array, k: int, stride: int, ho: int, wo: int) -> Array:
     """Columns of padded `xp`: row (c, di, dj) holds xp[c, di + stride*i, dj + stride*j].
 
-    A 1x1 stride-1 window is `xp` itself, so it comes back as a view.
+    One column per output pixel, all ho*wo of them, as the weight gradient
+    needs; a frozen-weight conv builds them a block at a time instead
+    (`_conv_blocks`). A 1x1 stride-1 window is `xp` itself, so it comes
+    back as a view.
     """
     c = xp.shape[0]
     if k == 1 and stride == 1:
@@ -465,6 +476,37 @@ def _im2col(xp: Array, k: int, stride: int, ho: int, wo: int) -> Array:
     for di in range(k):
         for dj in range(k):
             view[:, di, dj] = xp[:, di:di + stride * ho:stride, dj:dj + stride * wo:stride]
+    return out
+
+
+def _conv_blocks(xp: Array, w2: Array, k: int, stride: int, ho: int, wo: int) -> Array:
+    """w2 @ _im2col(xp, ...), BLOCK_PX output pixels at a time, in row-major order.
+
+    Each block's columns go into one reused (C_in*k*k, BLOCK_PX) buffer,
+    and its GEMM writes straight into the output, so the full column
+    matrix never exists. A block may start and end mid-row: its first
+    partial row, its whole rows and its last partial row are copied from
+    a strided window view of `xp`.
+    """
+    c, n = xp.shape[0], ho * wo
+    sc, sh, sw = xp.strides
+    win = np.lib.stride_tricks.as_strided(
+        xp, (c, k, k, ho, wo), (sc, sh, sw, stride * sh, stride * sw), writeable=False)
+    buf = np.empty((c * k * k, min(n, BLOCK_PX)))
+    out = np.empty((w2.shape[0], n))
+    for p0 in range(0, n, BLOCK_PX):
+        p1 = min(p0 + BLOCK_PX, n)
+        cols = buf[:, :p1 - p0]
+        dst = cols.reshape(c, k, k, p1 - p0)
+        (i0, j0), (i1, j1) = divmod(p0, wo), divmod(p1 - 1, wo)   # first and last pixel
+        if i0 == i1:
+            dst[...] = win[..., i0, j0:j1 + 1]
+        else:
+            last = p1 - p0 - j1 - 1                 # where row i1 starts in the block
+            dst[..., :wo - j0] = win[..., i0, j0:]
+            dst[..., wo - j0:last].reshape(c, k, k, i1 - i0 - 1, wo)[...] = win[..., i0 + 1:i1, :]
+            dst[..., last:] = win[..., i1, :j1 + 1]
+        np.matmul(w2, cols, out=out[:, p0:p1])
     return out
 
 
@@ -482,7 +524,12 @@ def conv2d(x, w, padding: int = 0, stride: int = 1) -> Tensor:
     """2-d cross-correlation of (C_in, H, W) with (C_out, C_in, k, k).
 
     Zero padding; output side is (H + 2*padding - k) // stride + 1. The
-    kernel must be square with odd side.
+    kernel must be square with odd side. A weight that requires a gradient
+    keeps the full column matrix for its rule and runs one GEMM; a frozen
+    weight runs `_conv_blocks`, one GEMM per BLOCK_PX output pixels, whose
+    float output may differ from the one-GEMM result in the last ulp once
+    the image has more than BLOCK_PX pixels. A 1x1 stride-1 conv reads its
+    input as a view and always runs one GEMM.
     """
     x, w = _as_tensor(x), _as_tensor(w)
     if x.data.ndim != 3 or w.data.ndim != 4:
@@ -501,9 +548,12 @@ def conv2d(x, w, padding: int = 0, stride: int = 1) -> Tensor:
         raise ShapeError(f"conv2d output would be empty for input {x.data.shape}, "
                          f"kernel {w.data.shape}, padding {padding}, stride {stride}")
     xp = np.pad(x.data, ((0, 0), (padding, padding), (padding, padding))) if padding else x.data
-    mat = _im2col(xp, k, stride, ho, wo)
     w2 = w.data.reshape(cout, cin * k * k)
-    out = (w2 @ mat).reshape(cout, ho, wo)
+    if w.requires_grad or (k == 1 and stride == 1):
+        mat = _im2col(xp, k, stride, ho, wo)     # kept for the weight rule
+        out = (w2 @ mat).reshape(cout, ho, wo)
+    else:
+        out = _conv_blocks(xp, w2, k, stride, ho, wo).reshape(cout, ho, wo)
     hp, wp = h + 2 * padding, wd + 2 * padding
 
     def input_rule(g):

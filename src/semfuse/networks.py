@@ -246,6 +246,7 @@ class StudentNet(ParamModule):
             blocked = dense_block(cur, layers)
             taps.append(_conv_block(blocked, *adapter, padding=0, stride=2, activate=False))
             cur = _conv_block(blocked, *transition, padding=0)
+            del blocked                            # free it before the next block runs
         out = _conv_block(cur, *self.head, padding=1, activate=False)
         return ad.sigmoid(out), taps
 

@@ -181,6 +181,23 @@ class TestEdges:
         ad.tsum(ad.conv2d(img, w, padding=1)).backward()
         assert calls == [1] and img.grad is not None
 
+    def test_conv_with_frozen_weight_builds_no_full_columns(self, rng, monkeypatch):
+        calls = []
+        real = ad._im2col
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(ad, "_im2col", counting)
+        img = ad.Tensor(rng.normal(size=(2, 5, 5)), requires_grad=True)
+        w = ad.Tensor(rng.normal(size=(3, 2, 3, 3)))
+        ad.tsum(ad.conv2d(img, w, padding=1)).backward()
+        assert calls == [] and img.grad is not None
+        w.requires_grad = True
+        ad.tsum(ad.conv2d(img, w, padding=1)).backward()
+        assert calls == [1] and w.grad is not None
+
     def test_input_frozen_at_record_gets_no_grad(self, rng):
         x = ad.Tensor(rng.normal(size=(2, 3)), requires_grad=True)
         w = ad.Tensor(rng.normal(size=(3, 2)), requires_grad=True)
@@ -296,6 +313,50 @@ class TestConv2d:
             ad.conv2d(ad.Tensor(np.ones((1, 4, 4))), ad.Tensor(np.ones((1, 1, 2, 2))))
         with pytest.raises(ShapeError):
             ad.conv2d(ad.Tensor(np.ones((2, 4, 4))), ad.Tensor(np.ones((1, 3, 3, 3))))
+
+
+# (kernel side, padding, stride) of every strided or padded conv the networks run
+FROZEN_CONVS = [(3, 1, 1), (3, 1, 2), (1, 0, 2)]
+
+
+def conv_both_ways(x, w, padding, stride):
+    """(frozen-weight output, kept-columns output) of one conv."""
+    frozen = ad.conv2d(ad.Tensor(x), ad.Tensor(w), padding=padding, stride=stride)
+    kept = ad.conv2d(ad.Tensor(x), ad.Tensor(w, requires_grad=True), padding=padding,
+                     stride=stride)
+    return frozen.data, kept.data
+
+
+class TestFrozenWeightBlocks:
+    """A frozen-weight conv runs one GEMM per BLOCK_PX output pixels."""
+
+    @pytest.mark.parametrize("k,padding,stride", FROZEN_CONVS)
+    @pytest.mark.parametrize("side", [(256, 256), (33, 17)])
+    def test_bytes_equal_kept_columns(self, rng, side, k, padding, stride):
+        # 256^2 splits into whole blocks, 33x17 is one block
+        x, w = rng.normal(size=(4, *side)), rng.normal(size=(3, 4, k, k))
+        frozen, kept = conv_both_ways(x, w, padding, stride)
+        assert frozen.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("k,padding,stride", FROZEN_CONVS)
+    @pytest.mark.parametrize("side", [(97, 131), (300, 211)])
+    def test_close_to_kept_columns_across_blocks(self, rng, side, k, padding, stride):
+        # blocks start and end mid-row, and the last block is partial
+        x, w = rng.normal(size=(4, *side)), rng.normal(size=(3, 4, k, k))
+        frozen, kept = conv_both_ways(x, w, padding, stride)
+        assert frozen.shape == kept.shape
+        assert np.allclose(frozen, kept, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("block_px", [1, 5, 7, 12, 35, 64])
+    @pytest.mark.parametrize("k,padding,stride", FROZEN_CONVS + [(3, 0, 1), (1, 0, 1)])
+    def test_partial_blocks_match_direct_summation(self, rng, monkeypatch, block_px,
+                                                   k, padding, stride):
+        # 5x7 output pixels (3x5 unpadded): blocks within one row, across
+        # rows, ending on a row boundary, and a partial last block
+        monkeypatch.setattr(ad, "BLOCK_PX", block_px)
+        x, w = rng.normal(size=(2, 5 * stride, 7 * stride)), rng.normal(size=(3, 2, k, k))
+        frozen, _ = conv_both_ways(x, w, padding, stride)
+        assert np.allclose(frozen, conv_oracle(x, w, padding, stride), rtol=1e-12, atol=1e-12)
 
 
 def im2col_oracle(xp, k, stride):
@@ -452,6 +513,18 @@ class TestShapeOps:
                          ("abs", ad.absval)]:
             res = check_scalar_fn(name, lambda f=fn: ad.tsum(ad.square(f(x))), {"x": x}, h=1e-5)
             assert res.passed, name
+
+    @pytest.mark.parametrize("slope", [0.0, 0.2, 1.0])
+    def test_leaky_relu_bytes_equal_where(self, slope):
+        x = np.array([-0.0, 0.0, -1.5, -1e-300, -5e-324, 2.0, 1e-300, -3.0e5])
+        got = ad.leaky_relu(ad.Tensor(x), slope).data
+        assert got.tobytes() == np.where(x >= 0, x, slope * x).tobytes()
+        assert np.signbit(got[0]) and not np.signbit(got[1])
+
+    def test_leaky_relu_rejects_slope_outside_unit_interval(self):
+        for slope in (-0.1, 1.5, float("nan")):
+            with pytest.raises(ContractError, match="slope"):
+                ad.leaky_relu(ad.Tensor(np.ones(3)), slope)
 
     def test_log_sqrt_clamp_vs_fd(self, rng):
         x = ad.Tensor(rng.uniform(0.5, 2.0, size=(4, 4)), requires_grad=True)
