@@ -453,47 +453,32 @@ def softmax_rows(a) -> Tensor:
 # ---------------------------------------------------------------------------
 # convolution
 
-# Output pixels per GEMM in a frozen-weight conv. One (C_in*k*k, 4096)
-# column buffer, at most 9.4 MB at 288 rows, is reused by every block and
-# read back while still in cache; a full-image column matrix is written
-# to freshly faulted pages and read back from memory.
+# Output pixels per block of columns. One (C_in*k*k, 4096) buffer, at most
+# 9.4 MB at 288 rows, is reused by every block of a conv and read back
+# while still in cache; a full-image column matrix would be written to
+# freshly faulted pages, read back from memory, and kept for the weight rule.
 BLOCK_PX = 4096
 
 
-def _im2col(xp: Array, k: int, stride: int, ho: int, wo: int) -> Array:
-    """Columns of padded `xp`: row (c, di, dj) holds xp[c, di + stride*i, dj + stride*j].
+def _col_blocks(xp: Array, k: int, stride: int, ho: int, wo: int):
+    """Yield (p0, p1, cols): the im2col columns of output pixels p0:p1 of padded `xp`.
 
-    One column per output pixel, all ho*wo of them, as the weight gradient
-    needs; a frozen-weight conv builds them a block at a time instead
-    (`_conv_blocks`). A 1x1 stride-1 window is `xp` itself, so it comes
-    back as a view.
-    """
-    c = xp.shape[0]
-    if k == 1 and stride == 1:
-        return xp.reshape(c, ho * wo)
-    out = np.empty((c * k * k, ho * wo))
-    view = out.reshape(c, k, k, ho, wo)
-    for di in range(k):
-        for dj in range(k):
-            view[:, di, dj] = xp[:, di:di + stride * ho:stride, dj:dj + stride * wo:stride]
-    return out
-
-
-def _conv_blocks(xp: Array, w2: Array, k: int, stride: int, ho: int, wo: int) -> Array:
-    """w2 @ _im2col(xp, ...), BLOCK_PX output pixels at a time, in row-major order.
-
-    Each block's columns go into one reused (C_in*k*k, BLOCK_PX) buffer,
-    and its GEMM writes straight into the output, so the full column
-    matrix never exists. A block may start and end mid-row: its first
-    partial row, its whole rows and its last partial row are copied from
-    a strided window view of `xp`.
+    Row (c, di, dj) of cols holds xp[c, di + stride*i, dj + stride*j] for
+    the pixels (i, j) in p0:p1, in row-major order. The blocks hold at most
+    BLOCK_PX pixels each and share one buffer, so a block is valid only
+    until the next is yielded. A 1x1 stride-1 conv yields `xp` itself, once,
+    as a view. Other blocks may start and end mid-row: their first partial
+    row, whole rows and last partial row are copied from a strided window
+    view of `xp`.
     """
     c, n = xp.shape[0], ho * wo
+    if k == 1 and stride == 1:
+        yield 0, n, xp.reshape(c, n)
+        return
     sc, sh, sw = xp.strides
     win = np.lib.stride_tricks.as_strided(
         xp, (c, k, k, ho, wo), (sc, sh, sw, stride * sh, stride * sw), writeable=False)
     buf = np.empty((c * k * k, min(n, BLOCK_PX)))
-    out = np.empty((w2.shape[0], n))
     for p0 in range(0, n, BLOCK_PX):
         p1 = min(p0 + BLOCK_PX, n)
         cols = buf[:, :p1 - p0]
@@ -506,8 +491,7 @@ def _conv_blocks(xp: Array, w2: Array, k: int, stride: int, ho: int, wo: int) ->
             dst[..., :wo - j0] = win[..., i0, j0:]
             dst[..., wo - j0:last].reshape(c, k, k, i1 - i0 - 1, wo)[...] = win[..., i0 + 1:i1, :]
             dst[..., last:] = win[..., i1, :j1 + 1]
-        np.matmul(w2, cols, out=out[:, p0:p1])
-    return out
+        yield p0, p1, cols
 
 
 def _col2im(gcols: Array, c: int, hp: int, wp: int, k: int, stride: int,
@@ -524,12 +508,11 @@ def conv2d(x, w, padding: int = 0, stride: int = 1) -> Tensor:
     """2-d cross-correlation of (C_in, H, W) with (C_out, C_in, k, k).
 
     Zero padding; output side is (H + 2*padding - k) // stride + 1. The
-    kernel must be square with odd side. A weight that requires a gradient
-    keeps the full column matrix for its rule and runs one GEMM; a frozen
-    weight runs `_conv_blocks`, one GEMM per BLOCK_PX output pixels, whose
-    float output may differ from the one-GEMM result in the last ulp once
-    the image has more than BLOCK_PX pixels. A 1x1 stride-1 conv reads its
-    input as a view and always runs one GEMM.
+    kernel must be square with odd side. The forward runs one GEMM per
+    block of `_col_blocks`, written straight into the output. The weight
+    rule keeps no columns: it pads the input again and sums one GEMM per
+    block, so a conv over more than BLOCK_PX output pixels may differ from
+    a one-GEMM conv in the last ulp, in its output and its weight gradient.
     """
     x, w = _as_tensor(x), _as_tensor(w)
     if x.data.ndim != 3 or w.data.ndim != 4:
@@ -547,13 +530,15 @@ def conv2d(x, w, padding: int = 0, stride: int = 1) -> Tensor:
     if ho < 1 or wo < 1:
         raise ShapeError(f"conv2d output would be empty for input {x.data.shape}, "
                          f"kernel {w.data.shape}, padding {padding}, stride {stride}")
-    xp = np.pad(x.data, ((0, 0), (padding, padding), (padding, padding))) if padding else x.data
+
+    def blocks():
+        xp = np.pad(x.data, ((0, 0), (padding, padding), (padding, padding))) if padding else x.data
+        return _col_blocks(xp, k, stride, ho, wo)
+
     w2 = w.data.reshape(cout, cin * k * k)
-    if w.requires_grad or (k == 1 and stride == 1):
-        mat = _im2col(xp, k, stride, ho, wo)     # kept for the weight rule
-        out = (w2 @ mat).reshape(cout, ho, wo)
-    else:
-        out = _conv_blocks(xp, w2, k, stride, ho, wo).reshape(cout, ho, wo)
+    out = np.empty((cout, ho * wo))
+    for p0, p1, cols in blocks():
+        np.matmul(w2, cols, out=out[:, p0:p1])
     hp, wp = h + 2 * padding, wd + 2 * padding
 
     def input_rule(g):
@@ -561,9 +546,13 @@ def conv2d(x, w, padding: int = 0, stride: int = 1) -> Tensor:
         return gxp[:, padding:padding + h, padding:padding + wd] if padding else gxp
 
     def weight_rule(g):
-        return (g.reshape(cout, ho * wo) @ mat.T).reshape(w.data.shape)
+        g2, gw = g.reshape(cout, ho * wo), None
+        for p0, p1, cols in blocks():
+            part = g2[:, p0:p1] @ cols.T
+            gw = part if gw is None else gw + part   # a zero start would turn -0.0 into 0.0
+        return gw.reshape(w.data.shape)
 
-    return _from_op(out, (x, input_rule), (w, weight_rule))
+    return _from_op(out.reshape(cout, ho, wo), (x, input_rule), (w, weight_rule))
 
 
 def _sobel_core(xp: Tensor, h: int, w: int) -> Tensor:

@@ -130,7 +130,7 @@ def dense_block(x: Tensor, layer_params: list[tuple[Tensor, Tensor]]) -> Tensor:
     for j, (w, _) in enumerate(layer_params):
         if w.shape[1] != sum(widths[:j + 1]):
             raise ShapeError(f"dense layer {j} kernel {w.shape} does not read {widths[:j + 1]}")
-    feats, sums = [x], [None] * len(layer_params)
+    feats, sums = [x], {}
     for j, (_, b) in enumerate(layer_params):
         lo = sum(widths[:j])
         later = [w for w, _ in layer_params[j:]]
@@ -140,9 +140,10 @@ def dense_block(x: Tensor, layer_params: list[tuple[Tensor, Tensor]]) -> Tensor:
         row = 0
         for i, w in enumerate(later, start=j):
             piece = ad.index(resp, (slice(row, row + w.shape[0]),))
-            sums[i] = piece if sums[i] is None else sums[i] + piece
+            sums[i] = sums[i] + piece if i in sums else piece
             row += w.shape[0]
-        feats.append(ad.leaky_relu(sums[j] + ad.reshape(b, (b.size, 1, 1)), LEAKY_SLOPE))
+        del resp, piece                 # free them before the next map's conv
+        feats.append(ad.leaky_relu(sums.pop(j) + ad.reshape(b, (b.size, 1, 1)), LEAKY_SLOPE))
     return ad.concat(feats, axis=0)
 
 

@@ -4,6 +4,8 @@ Expected values marked as oracle constants were produced by the
 independent references in this file (direct-summation convolution,
 extended-precision softmax via mpmath) and frozen here.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -181,22 +183,19 @@ class TestEdges:
         ad.tsum(ad.conv2d(img, w, padding=1)).backward()
         assert calls == [1] and img.grad is not None
 
-    def test_conv_with_frozen_weight_builds_no_full_columns(self, rng, monkeypatch):
-        calls = []
-        real = ad._im2col
-
-        def counting(*args):
-            calls.append(1)
-            return real(*args)
-
-        monkeypatch.setattr(ad, "_im2col", counting)
-        img = ad.Tensor(rng.normal(size=(2, 5, 5)), requires_grad=True)
-        w = ad.Tensor(rng.normal(size=(3, 2, 3, 3)))
-        ad.tsum(ad.conv2d(img, w, padding=1)).backward()
-        assert calls == [] and img.grad is not None
-        w.requires_grad = True
-        ad.tsum(ad.conv2d(img, w, padding=1)).backward()
-        assert calls == [1] and w.grad is not None
+    def test_trainable_conv_keeps_no_columns(self, rng):
+        # the weight rule rebuilds its columns in the backward; a kept
+        # column matrix alone would be 9x the input
+        x = ad.Tensor(rng.normal(size=(16, 64, 64)))
+        w = ad.Tensor(rng.normal(size=(16, 16, 3, 3)), requires_grad=True)
+        tracemalloc.start()
+        try:
+            out = ad.conv2d(x, w, padding=1)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out._parents == (w,)
+        assert kept <= 2 * x.data.nbytes, f"{kept / x.data.nbytes:.2f}x the input"
 
     def test_input_frozen_at_record_gets_no_grad(self, rng):
         x = ad.Tensor(rng.normal(size=(2, 3)), requires_grad=True)
@@ -319,33 +318,71 @@ class TestConv2d:
 FROZEN_CONVS = [(3, 1, 1), (3, 1, 2), (1, 0, 2)]
 
 
-def conv_both_ways(x, w, padding, stride):
-    """(frozen-weight output, kept-columns output) of one conv."""
-    frozen = ad.conv2d(ad.Tensor(x), ad.Tensor(w), padding=padding, stride=stride)
-    kept = ad.conv2d(ad.Tensor(x), ad.Tensor(w, requires_grad=True), padding=padding,
-                     stride=stride)
-    return frozen.data, kept.data
+def im2col_oracle(xp, k, stride):
+    """Sliding-window im2col: rows (c, di, dj), columns (i, j)."""
+    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
+    win = win[:, ::stride, ::stride]
+    return win.transpose(0, 3, 4, 1, 2).reshape(xp.shape[0] * k * k, -1)
+
+
+def padded(x, padding):
+    return np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
+
+
+def conv_and_one_gemm(x, w, padding, stride):
+    """(conv2d output, one GEMM over the full column matrix) of one conv."""
+    got = ad.conv2d(ad.Tensor(x), ad.Tensor(w), padding=padding, stride=stride).data
+    one_gemm = w.reshape(w.shape[0], -1) @ im2col_oracle(padded(x, padding), w.shape[2], stride)
+    return got, one_gemm.reshape(got.shape)
+
+
+def weight_grad_and_one_gemm(x, w, padding, stride, rng):
+    """(conv2d weight gradient, one GEMM g @ columns.T) for a random output gradient g."""
+    wt = ad.Tensor(w, requires_grad=True)
+    out = ad.conv2d(ad.Tensor(x), wt, padding=padding, stride=stride)
+    g = rng.normal(size=out.shape)
+    ad.tsum(ad.mul(out, g)).backward()
+    cols = im2col_oracle(padded(x, padding), w.shape[2], stride)
+    return wt.grad, (g.reshape(w.shape[0], -1) @ cols.T).reshape(w.shape)
 
 
 class TestFrozenWeightBlocks:
-    """A frozen-weight conv runs one GEMM per BLOCK_PX output pixels."""
+    """Every conv, frozen or trainable, runs one GEMM per BLOCK_PX output pixels.
+
+    The reference is one GEMM over the full column matrix, built in the test.
+    """
 
     @pytest.mark.parametrize("k,padding,stride", FROZEN_CONVS)
     @pytest.mark.parametrize("side", [(256, 256), (33, 17)])
     def test_bytes_equal_kept_columns(self, rng, side, k, padding, stride):
         # 256^2 splits into whole blocks, 33x17 is one block
         x, w = rng.normal(size=(4, *side)), rng.normal(size=(3, 4, k, k))
-        frozen, kept = conv_both_ways(x, w, padding, stride)
-        assert frozen.tobytes() == kept.tobytes()
+        got, one_gemm = conv_and_one_gemm(x, w, padding, stride)
+        assert got.tobytes() == one_gemm.tobytes()
 
     @pytest.mark.parametrize("k,padding,stride", FROZEN_CONVS)
     @pytest.mark.parametrize("side", [(97, 131), (300, 211)])
     def test_close_to_kept_columns_across_blocks(self, rng, side, k, padding, stride):
         # blocks start and end mid-row, and the last block is partial
         x, w = rng.normal(size=(4, *side)), rng.normal(size=(3, 4, k, k))
-        frozen, kept = conv_both_ways(x, w, padding, stride)
-        assert frozen.shape == kept.shape
-        assert np.allclose(frozen, kept, rtol=1e-13, atol=0)
+        got, one_gemm = conv_and_one_gemm(x, w, padding, stride)
+        assert np.allclose(got, one_gemm, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("k,padding,stride", FROZEN_CONVS)
+    @pytest.mark.parametrize("side", [(33, 17), (64, 64)])
+    def test_weight_grad_bytes_equal_one_gemm_in_one_block(self, rng, side, k, padding, stride):
+        x, w = rng.normal(size=(4, *side)), rng.normal(size=(3, 4, k, k))
+        got, one_gemm = weight_grad_and_one_gemm(x, w, padding, stride, rng)
+        assert got.tobytes() == one_gemm.tobytes()
+
+    @pytest.mark.parametrize("k,padding,stride", FROZEN_CONVS)
+    @pytest.mark.parametrize("side", [(97, 131), (300, 211)])
+    def test_weight_grad_close_to_one_gemm_across_blocks(self, rng, side, k, padding, stride):
+        # each entry sums thousands of signed products, so a small entry can
+        # move by more than 1e-13 of itself; bound the move by the largest
+        x, w = rng.normal(size=(4, *side)), rng.normal(size=(3, 4, k, k))
+        got, one_gemm = weight_grad_and_one_gemm(x, w, padding, stride, rng)
+        assert np.abs(got - one_gemm).max() <= 1e-13 * np.abs(one_gemm).max()
 
     @pytest.mark.parametrize("block_px", [1, 5, 7, 12, 35, 64])
     @pytest.mark.parametrize("k,padding,stride", FROZEN_CONVS + [(3, 0, 1), (1, 0, 1)])
@@ -355,15 +392,8 @@ class TestFrozenWeightBlocks:
         # rows, ending on a row boundary, and a partial last block
         monkeypatch.setattr(ad, "BLOCK_PX", block_px)
         x, w = rng.normal(size=(2, 5 * stride, 7 * stride)), rng.normal(size=(3, 2, k, k))
-        frozen, _ = conv_both_ways(x, w, padding, stride)
-        assert np.allclose(frozen, conv_oracle(x, w, padding, stride), rtol=1e-12, atol=1e-12)
-
-
-def im2col_oracle(xp, k, stride):
-    """Sliding-window im2col: rows (c, di, dj), columns (i, j)."""
-    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
-    win = win[:, ::stride, ::stride]
-    return win.transpose(0, 3, 4, 1, 2).reshape(xp.shape[0] * k * k, -1)
+        got, _ = conv_and_one_gemm(x, w, padding, stride)
+        assert np.allclose(got, conv_oracle(x, w, padding, stride), rtol=1e-12, atol=1e-12)
 
 
 class TestIm2col:
@@ -371,17 +401,28 @@ class TestIm2col:
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("padding", [0, 1])
     @pytest.mark.parametrize("side", [(5, 7), (6, 4)])
-    def test_matches_sliding_window(self, rng, k, stride, padding, side):
+    def test_matches_sliding_window(self, rng, monkeypatch, k, stride, padding, side):
         x = rng.normal(size=(3, *side))
-        xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
+        xp = padded(x, padding)
         ho = (side[0] + 2 * padding - k) // stride + 1
         wo = (side[1] + 2 * padding - k) // stride + 1
-        got = ad._im2col(xp, k, stride, ho, wo)
-        assert np.array_equal(got, im2col_oracle(xp, k, stride))
+        for block_px in [1, 5, 7, 35]:
+            monkeypatch.setattr(ad, "BLOCK_PX", block_px)
+            spans, parts = [], []
+            for p0, p1, cols in ad._col_blocks(xp, k, stride, ho, wo):
+                spans.append((p0, p1))
+                parts.append(cols.copy())        # the next block reuses the buffer
+            assert spans[0][0] == 0 and spans[-1][1] == ho * wo
+            assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+            got = np.concatenate(parts, axis=1)
+            assert np.array_equal(got, im2col_oracle(xp, k, stride)), block_px
 
-    def test_pointwise_window_is_a_view(self, rng):
+    def test_pointwise_window_is_a_view(self, rng, monkeypatch):
+        # one block, whatever BLOCK_PX says
+        monkeypatch.setattr(ad, "BLOCK_PX", 7)
         x = rng.normal(size=(4, 5, 6))
-        assert np.shares_memory(ad._im2col(x, 1, 1, 5, 6), x)
+        (p0, p1, cols), = ad._col_blocks(x, 1, 1, 5, 6)
+        assert (p0, p1) == (0, 30) and np.shares_memory(cols, x)
 
 
 # --------------------------------------------------------------------------
