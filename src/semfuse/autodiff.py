@@ -453,8 +453,9 @@ def softmax_rows(a) -> Tensor:
 # ---------------------------------------------------------------------------
 # convolution
 
-# Output pixels per block of columns. One (C_in*k*k, 4096) buffer, at most
-# 9.4 MB at 288 rows, is reused by every block of a conv and read back
+# Output pixels per block of columns, rounded down to whole output rows.
+# One (C_in*k*k, block) buffer, at most 9.4 MB at 288 rows while an output
+# row fits in BLOCK_PX, is reused by every block of a conv and read back
 # while still in cache; a full-image column matrix would be written to
 # freshly faulted pages, read back from memory, and kept for the weight rule.
 BLOCK_PX = 4096
@@ -464,12 +465,11 @@ def _col_blocks(xp: Array, k: int, stride: int, ho: int, wo: int):
     """Yield (p0, p1, cols): the im2col columns of output pixels p0:p1 of padded `xp`.
 
     Row (c, di, dj) of cols holds xp[c, di + stride*i, dj + stride*j] for
-    the pixels (i, j) in p0:p1, in row-major order. The blocks hold at most
-    BLOCK_PX pixels each and share one buffer, so a block is valid only
-    until the next is yielded. A 1x1 stride-1 conv yields `xp` itself, once,
-    as a view. Other blocks may start and end mid-row: their first partial
-    row, whole rows and last partial row are copied from a strided window
-    view of `xp`.
+    the pixels (i, j) in p0:p1, in row-major order. Each block is a band of
+    max(1, BLOCK_PX // wo) whole output rows, copied from a strided window
+    view of `xp`, so a row wider than BLOCK_PX is a block of its own. The
+    blocks share one buffer, so a block is valid only until the next is
+    yielded. A 1x1 stride-1 conv yields `xp` itself, once, as a view.
     """
     c, n = xp.shape[0], ho * wo
     if k == 1 and stride == 1:
@@ -478,20 +478,13 @@ def _col_blocks(xp: Array, k: int, stride: int, ho: int, wo: int):
     sc, sh, sw = xp.strides
     win = np.lib.stride_tricks.as_strided(
         xp, (c, k, k, ho, wo), (sc, sh, sw, stride * sh, stride * sw), writeable=False)
-    buf = np.empty((c * k * k, min(n, BLOCK_PX)))
-    for p0 in range(0, n, BLOCK_PX):
-        p1 = min(p0 + BLOCK_PX, n)
-        cols = buf[:, :p1 - p0]
-        dst = cols.reshape(c, k, k, p1 - p0)
-        (i0, j0), (i1, j1) = divmod(p0, wo), divmod(p1 - 1, wo)   # first and last pixel
-        if i0 == i1:
-            dst[...] = win[..., i0, j0:j1 + 1]
-        else:
-            last = p1 - p0 - j1 - 1                 # where row i1 starts in the block
-            dst[..., :wo - j0] = win[..., i0, j0:]
-            dst[..., wo - j0:last].reshape(c, k, k, i1 - i0 - 1, wo)[...] = win[..., i0 + 1:i1, :]
-            dst[..., last:] = win[..., i1, :j1 + 1]
-        yield p0, p1, cols
+    band = min(ho, max(1, BLOCK_PX // wo))
+    buf = np.empty((c * k * k, band * wo))
+    for i0 in range(0, ho, band):
+        i1 = min(i0 + band, ho)
+        cols = buf[:, :(i1 - i0) * wo]
+        cols.reshape(c, k, k, i1 - i0, wo)[...] = win[..., i0:i1, :]
+        yield i0 * wo, i1 * wo, cols
 
 
 def _col2im(gcols: Array, c: int, hp: int, wp: int, k: int, stride: int,

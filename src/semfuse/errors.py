@@ -26,7 +26,7 @@ class CheckpointError(ValueError):
 
 
 class TrainingAbort(RuntimeError):
-    """Training stopped early. `term` names the offending loss term when known."""
+    """Training stopped early. `term` names the offending loss term or parameter when known."""
 
     def __init__(self, message: str, term: str | None = None):
         super().__init__(message)

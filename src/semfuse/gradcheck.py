@@ -19,6 +19,7 @@ from .autodiff import Tensor, frozen
 REL_TOL = 1e-4
 FD_STEP = 1e-5
 COORDS_PER_TENSOR = 64
+JITTER = 1e-3
 
 
 def rel_err(auto: float, fd: float) -> float:
@@ -41,7 +42,7 @@ class CheckResult:
         return f"{self.name:<28s} worst_rel_err={self.worst:.3e}  [{status}]"
 
 
-def jitter(tensors, scale: float = 1e-3, seed: int = 0) -> None:
+def jitter(tensors, seed: int) -> None:
     """Nudge tensors off non-generic points before finite differencing.
 
     Freshly built networks start with zero biases, which parks masked-out
@@ -51,7 +52,7 @@ def jitter(tensors, scale: float = 1e-3, seed: int = 0) -> None:
     """
     rng = np.random.default_rng(seed)
     for t in tensors:
-        t.data = t.data + rng.uniform(-scale, scale, size=t.data.shape)
+        t.data = t.data + rng.uniform(-JITTER, JITTER, size=t.data.shape)
 
 
 def _coords_for(name: str, size: int, n: int, seed: int) -> np.ndarray:

@@ -8,7 +8,7 @@ a pure function of its inputs and a seed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -20,10 +20,14 @@ from .errors import ContractError
 from .imageio import quantize
 from .instrumentation import bump
 
-# Default seeds for the frozen stand-in networks. Fixed constants so the
+# Seeds for the frozen stand-in networks. Fixed constants so the
 # provider behaves like a pretrained component, independent of run seeds.
 ENCODER_SEED = 101
 SEGMENT_SEED = 202
+# The provider's mask policy: at most TOP_K regions per source, each
+# covering at least MIN_AREA pixels.
+TOP_K = 4
+MIN_AREA = 8
 
 
 @dataclass
@@ -153,8 +157,8 @@ class FrozenEncoder:
 
     CHANNELS = (8, 16, 32)
 
-    def __init__(self, seed: int = ENCODER_SEED):
-        rng = np.random.default_rng(seed)
+    def __init__(self):
+        rng = np.random.default_rng(ENCODER_SEED)
         self.weights = []
         c_in = 1
         for c_out in self.CHANNELS:
@@ -176,13 +180,12 @@ class FrozenEncoder:
 class SegmentationStub:
     """Frozen seeded conv head emitting a per-pixel class distribution."""
 
-    def __init__(self, n_classes: int = 4, seed: int = SEGMENT_SEED):
-        if n_classes < 2:
-            raise ContractError(f"need at least 2 classes, got {n_classes}")
-        rng = np.random.default_rng(seed)
-        self.n_classes = n_classes
+    n_classes = 4
+
+    def __init__(self):
+        rng = np.random.default_rng(SEGMENT_SEED)
         self.w1 = Tensor(kaiming(rng, 8, 1, 3, 3), name="segstub.conv0")
-        self.w2 = Tensor(kaiming(rng, n_classes, 8, 3, 3), name="segstub.conv1")
+        self.w2 = Tensor(kaiming(rng, self.n_classes, 8, 3, 3), name="segstub.conv1")
 
     def forward(self, x: Tensor) -> Tensor:
         """(1, H, W) -> (C, H, W) probabilities summing to 1 over classes."""
@@ -210,55 +213,22 @@ def synth_labels(masks_vis: MaskSet, masks_ir: MaskSet, n_classes: int) -> np.nd
     return labels
 
 
-def load_injected_masks(directory, stem: str, modality: str,
-                        shape: tuple[int, int]) -> MaskSet | None:
-    """External mask override: `<stem>.<modality>.mask<N>.pgm`, 0/255 valued.
-
-    Files are read in ascending N; missing N0 means no injection. Masks
-    are reordered by descending area like the generated ones.
-    """
-    from .imageio import load_image
-    found = []
-    n = 0
-    while True:
-        path = directory / f"{stem}.{modality}.mask{n}.pgm"
-        if not path.exists():
-            break
-        img = load_image(path)
-        vals = quantize(img.data)
-        if not np.all(np.isin(vals, (0, 255))):
-            raise ContractError(f"injected mask {path} is not binary 0/255")
-        if img.data.shape != shape:
-            raise ContractError(f"injected mask {path} shape {img.data.shape} != image {shape}")
-        m = vals == 255
-        found.append((int(m.sum()), n, m))
-        n += 1
-    if not found:
-        return None
-    found.sort(key=lambda c: (-c[0], c[1]))
-    return MaskSet([f[2] for f in found], modality, [f[0] for f in found])
-
-
-@dataclass
 class PriorProvider:
-    """Bundles mask generation policy with the frozen networks."""
+    """Bundles mask generation policy with the frozen networks.
 
-    top_k: int = 4
-    min_area: int = 8
-    random_patches: bool = False
-    encoder: FrozenEncoder = field(default_factory=FrozenEncoder)
-    stub: SegmentationStub = field(default_factory=SegmentationStub)
-    inject_dir: object = None
+    `random_patches` swaps the Otsu regions for seeded random rectangles
+    (the ablation that removes the segmentation prior).
+    """
 
-    def masks_for(self, img: np.ndarray, modality: str, stem: str = "",
+    def __init__(self, random_patches: bool = False):
+        self.random_patches = random_patches
+        self.encoder = FrozenEncoder()
+        self.stub = SegmentationStub()
+
+    def masks_for(self, img: np.ndarray, modality: str,
                   rng: np.random.Generator | None = None) -> MaskSet:
-        if self.inject_dir is not None and stem:
-            injected = load_injected_masks(self.inject_dir, stem, modality, img.shape)
-            if injected is not None:
-                bump("provider")
-                return injected
         if self.random_patches:
             if rng is None:
                 raise ContractError("random_patches mode needs an rng")
-            return random_rect_masks(img, self.top_k, rng, modality)
-        return generate_masks(img, self.top_k, self.min_area, modality)
+            return random_rect_masks(img, TOP_K, rng, modality)
+        return generate_masks(img, TOP_K, MIN_AREA, modality)

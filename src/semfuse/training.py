@@ -27,6 +27,9 @@ from .networks import StudentNet, TeacherNet
 from .priors import PriorProvider, make_patches, synth_labels
 
 CLIP_NORM = 10.0
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 DIVERGENCE_FACTOR = 10.0
 # warmup runs at one constant rate for both nets, high enough that a short
 # budget produces a visible source-fidelity gain before annealing starts
@@ -106,12 +109,14 @@ def cosine_lr(step: int, total_steps: int, lr0: float, lr_floor: float) -> float
 
 
 class Adam:
-    """Bias-corrected adaptive-moment updates over a named parameter dict."""
+    """Bias-corrected adaptive-moment updates over a named parameter dict.
 
-    def __init__(self, params: dict, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    Gradients reach `step` finite: `clip_global_norm` runs first and
+    aborts on a NaN or Inf one.
+    """
+
+    def __init__(self, params: dict):
         self.params = params
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.t = 0
@@ -120,37 +125,43 @@ class Adam:
         if lr <= 0:
             raise ContractError(f"lr must be positive, got {lr}")
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
+        c1 = 1.0 - ADAM_BETA1 ** self.t
+        c2 = 1.0 - ADAM_BETA2 ** self.t
         for name, p in self.params.items():
             if not p.requires_grad or p.grad is None:
                 continue
             g = p.grad
-            if not np.all(np.isfinite(g)):
-                raise TrainingAbort(
-                    f"non-finite gradient for parameter {name}", term=name)
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            p.data -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
-def clip_global_norm(params, max_norm: float = CLIP_NORM) -> float:
-    """Rescale all gradients so their joint norm is at most max_norm."""
-    grads = [p.grad for p in params if p.grad is not None]
-    if not grads:
+def clip_global_norm(params) -> float:
+    """Rescale all gradients so their joint norm is at most CLIP_NORM.
+
+    A non-finite norm aborts the run: naming the first parameter, in the
+    order given, whose gradient holds a NaN or Inf, or as `grad-norm` when
+    finite gradients overflow the sum of squares.
+    """
+    params = [p for p in params if p.grad is not None]
+    if not params:
         return 0.0
-    norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
+    norm = math.sqrt(sum(float(np.sum(p.grad * p.grad)) for p in params))
     if not math.isfinite(norm):
-        # scaling by max_norm/inf would silently zero every gradient
+        # scaling by CLIP_NORM/inf would silently zero every gradient
+        for p in params:
+            if not np.all(np.isfinite(p.grad)):
+                raise TrainingAbort(f"non-finite gradient for parameter {p.name}",
+                                    term=p.name)
         raise TrainingAbort("gradient norm is non-finite", term="grad-norm")
-    if norm > max_norm:
-        scale = max_norm / norm
-        for g in grads:
-            g *= scale
+    if norm > CLIP_NORM:
+        scale = CLIP_NORM / norm
+        for p in params:
+            p.grad *= scale
     return norm
 
 
@@ -300,16 +311,12 @@ def main_phase(state: TrainState, batch, lr: float):
     return parts, gap
 
 
-def _distill(state: TrainState, batch, lr: float):
-    """One student update on the distillation objective: (total, parts, gap)."""
+def sub_phase(state: TrainState, batch, lr: float):
+    """One student update on the distillation objective, teacher untouched:
+    (float total, parts, gap)."""
     total, parts, gap = _update(state, state.student, lr,
                                 lambda: _batch_objective(state, batch, need_seg=False))
     return float(total.data), parts, gap
-
-
-def sub_phase(state: TrainState, batch, lr: float) -> float:
-    """One student update on the distillation objective; teacher untouched."""
-    return _distill(state, batch, lr)[0]
 
 
 @dataclass
@@ -410,7 +417,7 @@ def _teacher_step(state: TrainState, batch, step: int, total: int):
 
 def _student_step(state: TrainState, batch, step: int, total: int):
     lr_s = cosine_lr(step, total, state.cfg.lr_sub, state.cfg.lr_floor)
-    _, parts, gap = _distill(state, batch, lr_s)
+    _, parts, gap = sub_phase(state, batch, lr_s)
     return LossBreakdown.from_parts(step=total + step + 1, lr_main=0.0, lr_sub=lr_s,
                                     **parts), gap
 

@@ -363,7 +363,7 @@ class TestFrozenWeightBlocks:
     @pytest.mark.parametrize("k,padding,stride", FROZEN_CONVS)
     @pytest.mark.parametrize("side", [(97, 131), (300, 211)])
     def test_close_to_kept_columns_across_blocks(self, rng, side, k, padding, stride):
-        # blocks start and end mid-row, and the last block is partial
+        # the last band of rows is partial
         x, w = rng.normal(size=(4, *side)), rng.normal(size=(3, 4, k, k))
         got, one_gemm = conv_and_one_gemm(x, w, padding, stride)
         assert np.allclose(got, one_gemm, rtol=1e-13, atol=0)
@@ -388,8 +388,8 @@ class TestFrozenWeightBlocks:
     @pytest.mark.parametrize("k,padding,stride", FROZEN_CONVS + [(3, 0, 1), (1, 0, 1)])
     def test_partial_blocks_match_direct_summation(self, rng, monkeypatch, block_px,
                                                    k, padding, stride):
-        # 5x7 output pixels (3x5 unpadded): blocks within one row, across
-        # rows, ending on a row boundary, and a partial last block
+        # 5x7 output pixels (3x5 unpadded): bands of one row, of several
+        # rows, and a partial last band
         monkeypatch.setattr(ad, "BLOCK_PX", block_px)
         x, w = rng.normal(size=(2, 5 * stride, 7 * stride)), rng.normal(size=(3, 2, k, k))
         got, _ = conv_and_one_gemm(x, w, padding, stride)
@@ -416,6 +416,17 @@ class TestIm2col:
             assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
             got = np.concatenate(parts, axis=1)
             assert np.array_equal(got, im2col_oracle(xp, k, stride)), block_px
+
+    @pytest.mark.parametrize("block_px", [5, 7, 35])
+    def test_blocks_are_bands_of_whole_rows(self, rng, monkeypatch, block_px):
+        # 9x6 output pixels: a row wider than BLOCK_PX is a block of its
+        # own, and at 35 the last band holds the 4 rows left over
+        monkeypatch.setattr(ad, "BLOCK_PX", block_px)
+        ho, wo = 9, 6
+        xp = rng.normal(size=(2, ho + 2, wo + 2))
+        spans = [(p0, p1) for p0, p1, _ in ad._col_blocks(xp, 3, 1, ho, wo)]
+        assert all(p0 % wo == 0 and p1 % wo == 0 for p0, p1 in spans), spans
+        assert all(p1 - p0 == max(1, block_px // wo) * wo for p0, p1 in spans[:-1]), spans
 
     def test_pointwise_window_is_a_view(self, rng, monkeypatch):
         # one block, whatever BLOCK_PX says

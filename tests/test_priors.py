@@ -10,12 +10,10 @@ import pytest
 
 from semfuse.autodiff import Tensor
 from semfuse.errors import ContractError
-from semfuse.imageio import Image, save_image
 from semfuse.instrumentation import delta, snapshot
-from semfuse.priors import (ENCODER_SEED, SEGMENT_SEED, FrozenEncoder, MaskSet,
-                            PriorProvider, SegmentationStub, generate_masks,
-                            load_injected_masks, make_patches, otsu_threshold,
-                            random_rect_masks, synth_labels)
+from semfuse.priors import (FrozenEncoder, MaskSet, SegmentationStub, generate_masks,
+                            make_patches, otsu_threshold, random_rect_masks,
+                            synth_labels)
 
 
 def encode_image(enc, img):
@@ -172,8 +170,8 @@ class TestFrozenEncoder:
         assert [f.shape for f in feats] == [(8, 8, 8), (16, 4, 4), (32, 2, 2)]
 
     def test_seed_reproducibility(self):
-        a = FrozenEncoder(seed=ENCODER_SEED)
-        b = FrozenEncoder(seed=ENCODER_SEED)
+        a = FrozenEncoder()
+        b = FrozenEncoder()
         for wa, wb in zip(a.weights, b.weights):
             assert np.array_equal(wa.data, wb.data)
         img = np.random.default_rng(1).uniform(size=(16, 16))
@@ -208,7 +206,7 @@ def test_frozen_forward_counts_as_provider_work(net):
 
 class TestSegmentationStub:
     def test_pixelwise_simplex(self):
-        stub = SegmentationStub(n_classes=4)
+        stub = SegmentationStub()
         img = np.random.default_rng(2).uniform(size=(12, 12))
         probs = predict_image(stub, img)
         assert probs.shape == (4, 12, 12)
@@ -216,8 +214,8 @@ class TestSegmentationStub:
         assert np.allclose(probs.sum(axis=0), 1.0, atol=1e-6)
 
     def test_deterministic_and_input_sensitive(self):
-        stub = SegmentationStub(seed=SEGMENT_SEED)
-        stub2 = SegmentationStub(seed=SEGMENT_SEED)
+        stub = SegmentationStub()
+        stub2 = SegmentationStub()
         img = np.random.default_rng(3).uniform(size=(8, 8))
         assert np.array_equal(predict_image(stub, img), predict_image(stub2, img))
         bumped = np.clip(img + 0.05, 0, 1)
@@ -255,29 +253,3 @@ class TestSynthLabels:
         labels = synth_labels(ms_vis, ms_ir, n_classes=4)
         assert labels[3, 3] == 2        # the small mask's class, not the big one's
 
-
-class TestInjection:
-    def test_loads_external_masks(self, tmp_path):
-        m0 = np.zeros((6, 6)); m0[:2] = 1.0
-        m1 = np.zeros((6, 6)); m1[2:] = 1.0
-        save_image(Image(m0), tmp_path / "scene.vis.mask0.pgm")
-        save_image(Image(m1), tmp_path / "scene.vis.mask1.pgm")
-        ms = load_injected_masks(tmp_path, "scene", "vis", (6, 6))
-        assert ms is not None
-        assert ms.areas == [24, 12]
-
-    def test_absent_dir_returns_none(self, tmp_path):
-        assert load_injected_masks(tmp_path, "scene", "vis", (4, 4)) is None
-
-    def test_non_binary_rejected(self, tmp_path):
-        save_image(Image(np.full((4, 4), 0.3)), tmp_path / "s.ir.mask0.pgm")
-        with pytest.raises(ContractError):
-            load_injected_masks(tmp_path, "s", "ir", (4, 4))
-
-    def test_provider_prefers_injection(self, tmp_path):
-        m0 = np.zeros((6, 6)); m0[:3] = 1.0
-        save_image(Image(m0), tmp_path / "x.vis.mask0.pgm")
-        prov = PriorProvider(inject_dir=tmp_path)
-        ms = prov.masks_for(np.linspace(0, 1, 36).reshape(6, 6), "vis", stem="x")
-        assert len(ms.masks) == 1
-        assert ms.areas == [18]
