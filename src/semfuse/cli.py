@@ -3,8 +3,8 @@
 Configuration is a flat key=value overlay: defaults, then an optional
 config file, then explicit flags, highest last. Every run prints the
 fully resolved configuration before doing anything, so logs are
-self-describing. Exit codes: 0 success, 1 usage or contract error,
-2 numerical abort.
+self-describing. Exit codes: 0 success, 1 usage, contract or
+out-of-memory error, 2 numerical abort.
 """
 from __future__ import annotations
 
@@ -348,7 +348,7 @@ _COMMANDS = {
     "fuse": (cmd_fuse, "student-only inference", ("data", "ckpt")),
     "eval": (cmd_eval, "fusion metrics over fused/source triples", ("data", "fused")),
     "gradcheck": (cmd_gradcheck, "finite-difference verification suite", ("term",)),
-    "info": (cmd_info, "parameter counts and feature shapes", _ABLATION_KEYS),
+    "info": (cmd_info, "parameter counts and feature shapes", ("no_z", "no_kv", "no_pr")),
 }
 _FLAG_HELP = {
     "data": {"help": "directory of <stem>.vis.pgm/.ir.pgm pairs"},
@@ -386,6 +386,7 @@ def _print_warning(message, *_where) -> None:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    args = None
     try:
         args = parser.parse_args(argv)
         cfg = resolve(args)
@@ -403,4 +404,9 @@ def main(argv=None) -> int:
         return 2
     except (UsageError, ContractError, CheckpointError, PnmParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory in semfuse {getattr(args, 'command', '')}{detail}",
+              file=sys.stderr)
         return 1

@@ -235,25 +235,42 @@ def _source_context(out: Tensor, vis, ir) -> list:
             for src in (vis, ir)]
 
 
-def _fold(samples: list) -> tuple:
-    """Batch mean of per-pair loss terms: (total Tensor, float parts).
+def _fold(terms_of, batch) -> tuple:
+    """Batch mean of per-pair loss terms, backpropagated pair by pair:
+    (float total, float parts).
 
-    Each sample maps a term name to a graph scalar or a list of them, in
-    the order the terms add; logged terms come in schema order
-    (`losses.TERMS`). Each term is summed over the batch in pair order,
-    then the sums are added in that order.
+    `terms_of(vis, ir)` maps each term name to a graph scalar or a list of
+    them, in the order the terms add; logged terms come in schema order
+    (`losses.TERMS`). Each pair's terms are summed in that order, scaled by
+    1/n and backpropagated before the next pair is built, so gradients
+    accumulate in the leaves and a step holds one pair's graph at a time.
+    Each part sums its term over the batch in pair order; the total adds
+    the parts' sums in term order.
     """
-    listed = [{k: v if isinstance(v, list) else [v] for k, v in s.items()} for s in samples]
-    sums = {key: reduce(operator.add, [t for s in listed for t in s[key]]) for key in listed[0]}
-    inv = 1.0 / len(samples)
-    total = reduce(operator.add, sums.values()) * inv
+    inv = 1.0 / len(batch)
+    values = {}
+    for vis, ir in batch:
+        for key, vals in _backprop_pair(terms_of(vis, ir), inv).items():
+            values.setdefault(key, []).extend(vals)
+    sums = {key: reduce(operator.add, vals) for key, vals in values.items()}
     # max with 0: every term is non-negative up to roundoff, and the log
     # rejects negative entries outright
-    return total, {key: max(0.0, float(s.data) * inv) for key, s in sums.items()}
+    return (reduce(operator.add, sums.values()) * inv,
+            {key: max(0.0, s * inv) for key, s in sums.items()})
 
 
-def _sample_terms(state: TrainState, vis, ir, need_seg: bool) -> tuple:
-    """The enabled loss terms for one pair as graph scalars, and the pair's gap."""
+def _backprop_pair(terms: dict, inv: float) -> dict:
+    """`backward` through one pair's terms summed in order and scaled by
+    `inv`; returns each term's float values. The pair's graph is referenced
+    only from this frame, so it is freed when the call returns."""
+    listed = {k: v if isinstance(v, list) else [v] for k, v in terms.items()}
+    ad.backward(reduce(operator.add, [reduce(operator.add, ts) for ts in listed.values()]) * inv)
+    return {k: [float(t.data) for t in ts] for k, ts in listed.items()}
+
+
+def _sample_terms(state: TrainState, vis, ir, need_seg: bool, gaps: list) -> dict:
+    """The enabled loss terms for one pair as graph scalars; appends the
+    pair's gap to `gaps`."""
     ab = state.cfg.ablations
     mv, mi, ref, feats = _teach(state, vis, ir)
     fus, taps = _guard("student-forward",
@@ -270,13 +287,14 @@ def _sample_terms(state: TrainState, vis, ir, need_seg: bool) -> tuple:
             "cs", lambda: losses.loss_cs(fus, ref, vt, it_, mv, mi, state.provider.encoder))
     if need_seg:
         terms["seg"] = _seg(state, ref, mv, mi)
-    return terms, float(np.mean(np.abs(fus.data - ref.data)))
+    gaps.append(float(np.mean(np.abs(fus.data - ref.data))))
+    return terms
 
 
 def _batch_objective(state: TrainState, batch, need_seg: bool):
-    """Mean loss terms over a batch: (total Tensor, float parts, mean gap)."""
-    samples, gaps = zip(*[_sample_terms(state, vis, ir, need_seg) for vis, ir in batch])
-    total, parts = _fold(samples)
+    """Mean loss terms over a batch, backpropagated: (float total, parts, mean gap)."""
+    gaps = []
+    total, parts = _fold(lambda vis, ir: _sample_terms(state, vis, ir, need_seg, gaps), batch)
     return total, parts, float(np.mean(gaps))
 
 
@@ -290,15 +308,14 @@ def _teacher_terms(state: TrainState, vis, ir) -> dict:
 def _update(state: TrainState, net, lr: float, objective) -> tuple:
     """One Adam update of `net` (the teacher or the student) with the other net frozen.
 
-    `objective()` returns a tuple whose first item is the scalar loss to
-    descend; that tuple is returned.
+    `objective()` backpropagates the loss into the gradients (through
+    `_fold`) and returns a tuple, which is returned.
     """
     other, adam = ((state.student, state.adam_m) if net is state.teacher
                    else (state.teacher, state.adam_s))
     net.zero_grad()
     with frozen(other.parameters()):
         out = objective()
-        ad.backward(out[0])
     clip_global_norm(net.parameters())
     adam.step(lr)
     return out
@@ -314,9 +331,8 @@ def main_phase(state: TrainState, batch, lr: float):
 def sub_phase(state: TrainState, batch, lr: float):
     """One student update on the distillation objective, teacher untouched:
     (float total, parts, gap)."""
-    total, parts, gap = _update(state, state.student, lr,
-                                lambda: _batch_objective(state, batch, need_seg=False))
-    return float(total.data), parts, gap
+    return _update(state, state.student, lr,
+                   lambda: _batch_objective(state, batch, need_seg=False))
 
 
 @dataclass
@@ -411,7 +427,7 @@ def _alternating_step(state: TrainState, batch, step: int, total: int):
 def _teacher_step(state: TrainState, batch, step: int, total: int):
     lr_m = cosine_lr(step, total, state.cfg.lr_main, state.cfg.lr_floor)
     _, parts = _update(state, state.teacher, lr_m,
-                       lambda: _fold([_teacher_terms(state, vis, ir) for vis, ir in batch]))
+                       lambda: _fold(lambda vis, ir: _teacher_terms(state, vis, ir), batch))
     return LossBreakdown.from_parts(step=step + 1, lr_main=lr_m, lr_sub=0.0, **parts), None
 
 
@@ -459,7 +475,7 @@ def _student_out(state: TrainState, vis, ir) -> Tensor:
 def _pretrain_step(state: TrainState, batch, step: int, total: int) -> None:
     for net, forward in ((state.teacher, _teacher_out), (state.student, _student_out)):
         _update(state, net, PRETRAIN_LR, lambda: _fold(
-            [{"source": _source_loss(forward(state, vis, ir), vis, ir)} for vis, ir in batch]))
+            lambda vis, ir: {"source": _source_loss(forward(state, vis, ir), vis, ir)}, batch))
 
 
 def pretrain(teacher: TeacherNet, student: StudentNet, pairs, cfg: TrainConfig) -> None:

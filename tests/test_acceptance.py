@@ -95,10 +95,10 @@ def test_criterion_2_loss_identities():
     state = make_state(teacher, student, TrainConfig(crop=16, batch=2))
     batch = [synth_pair(10 + i, 16, 16) for i in range(2)]
     total, parts, _gap = training._batch_objective(state, batch, need_seg=True)
-    assert abs(float(total.data) - sum(parts.values())) <= 1e-9
+    assert abs(total - sum(parts.values())) <= 1e-9
     total_sub = parts["fea"] + parts["grad"] + parts["mse"] + \
         parts["cs_ir"] + parts["cs_vis"]
-    assert abs((total_sub + parts["seg"]) - float(total.data)) <= 1e-9
+    assert abs((total_sub + parts["seg"]) - total) <= 1e-9
     return "fea/context/cs zero, seg=log4, totals additive"
 
 

@@ -105,7 +105,7 @@ ABLATION_FLAGS = {"--no-sam", "--no-z", "--no-kv", "--no-pr",
 COMMAND_FLAGS = {
     "train": {"--data", "--synthetic", "--steps", "--epochs", "--pretrain-epochs",
               "--batch", "--crop", "--lr-main", "--lr-sub", "--lr-floor"} | ABLATION_FLAGS,
-    "info": ABLATION_FLAGS,
+    "info": {"--no-z", "--no-kv", "--no-pr"},
     "fuse": {"--data", "--ckpt"},
     "eval": {"--data", "--fused"},
     "gradcheck": {"--term"},
@@ -574,6 +574,20 @@ class TestInfo:
         _, out1, _ = run(capsys, "info")
         _, out2, _ = run(capsys, "info")
         assert out1 == out2
+
+    def test_flag_it_does_not_read_is_a_usage_error(self, capsys):
+        rc, out, err = run(capsys, "info", "--no-sam")
+        assert rc == 1 and out == ""
+        assert err.startswith("error:") and "--no-sam" in err
+
+    def test_out_of_memory_is_one_error_line(self, capsys, monkeypatch):
+        def exhausted(_cfg):
+            raise MemoryError("Unable to allocate 8.00 GiB for an array")
+        monkeypatch.setitem(cli._COMMANDS, "info", (exhausted,) + cli._COMMANDS["info"][1:])
+        rc, _, err = run(capsys, "info")
+        assert rc == 1
+        assert err.count("\n") == 1 and err.startswith("error: out of memory in semfuse info")
+        assert "Traceback" not in err
 
     def test_module_entrypoint(self):
         proc = subprocess.run([sys.executable, "-m", "semfuse", "info"],
