@@ -9,6 +9,10 @@ are verified against central finite differences in the test suite.
 """
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from typing import Callable, Iterable
 
@@ -453,38 +457,110 @@ def softmax_rows(a) -> Tensor:
 # ---------------------------------------------------------------------------
 # convolution
 
-# Output pixels per block of columns, rounded down to whole output rows.
-# One (C_in*k*k, block) buffer, at most 9.4 MB at 288 rows while an output
-# row fits in BLOCK_PX, is reused by every block of a conv and read back
-# while still in cache; a full-image column matrix would be written to
-# freshly faulted pages, read back from memory, and kept for the weight rule.
+# Output pixels per band of columns, rounded down to whole output rows.
+# One (C_in*k*k, band) buffer per band group, at most 9.4 MB at 288 rows
+# while an output row fits in BLOCK_PX, is reused by every band of its group
+# and read back while still in cache; a full-image column matrix would be
+# written to freshly faulted pages, read back from memory, and kept for the
+# weight rule.
 BLOCK_PX = 4096
 
 
-def _col_blocks(xp: Array, k: int, stride: int, ho: int, wo: int):
-    """Yield (p0, p1, cols): the im2col columns of output pixels p0:p1 of padded `xp`.
+# Band groups per conv: at most one per core this process may run on. The
+# pool is started by the first conv that runs more than one group.
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+_POOL: ThreadPoolExecutor | None = None
+_POOL_LOCK = threading.Lock()
 
-    Row (c, di, dj) of cols holds xp[c, di + stride*i, dj + stride*j] for
-    the pixels (i, j) in p0:p1, in row-major order. Each block is a band of
-    max(1, BLOCK_PX // wo) whole output rows, copied from a strided window
-    view of `xp`, so a row wider than BLOCK_PX is a block of its own. The
-    blocks share one buffer, so a block is valid only until the next is
-    yielded. A 1x1 stride-1 conv yields `xp` itself, once, as a view.
+
+def _pool() -> ThreadPoolExecutor:
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            _POOL = ThreadPoolExecutor(_WORKERS, thread_name_prefix="semfuse-band")
+        return _POOL
+
+
+def _bands(k: int, stride: int, ho: int, wo: int) -> list[tuple[int, int]]:
+    """(i0, i1) output-row spans of a conv's bands, in order.
+
+    A band is max(1, BLOCK_PX // wo) whole output rows, so a row wider than
+    BLOCK_PX is a band of its own. A 1x1 stride-1 conv is one band: its
+    columns are its input, and splitting them would reshape its GEMM.
     """
-    c, n = xp.shape[0], ho * wo
-    if k == 1 and stride == 1:
-        yield 0, n, xp.reshape(c, n)
+    band = ho if k == 1 and stride == 1 else min(ho, max(1, BLOCK_PX // wo))
+    return [(i0, min(i0 + band, ho)) for i0 in range(0, ho, band)]
+
+
+def _pad_rows(x: Array, padding: int, r0: int, r1: int, buf: Array) -> Array:
+    """Rows r0:r1 of `x` zero-padded by `padding` on every side, written into `buf`."""
+    wd = x.shape[2]
+    xp = buf[:, :r1 - r0]
+    lo, hi = r0 - padding, r1 - padding             # the same rows, in x
+    inner = x[:, max(lo, 0):max(hi, 0)]
+    d0 = max(-lo, 0)
+    d1 = d0 + inner.shape[1]
+    xp[:, :d0] = 0
+    xp[:, d1:] = 0
+    xp[:, d0:d1, :padding] = 0
+    xp[:, d0:d1, padding + wd:] = 0
+    xp[:, d0:d1, padding:padding + wd] = inner
+    return xp
+
+
+def _run_bands(x: Array, k: int, padding: int, stride: int, wo: int,
+               bands: list[tuple[int, int]], gemm: Callable) -> None:
+    """Call gemm(b, p0, p1, cols) for every band b of a conv over the map `x`.
+
+    `cols` holds the im2col columns of output pixels p0:p1 (the band's
+    whole rows): row (c, di, dj) holds xp[c, di + stride*i, dj + stride*j]
+    for the pixels (i, j) of the band, in row-major order, where xp is `x`
+    zero-padded by `padding`. It is valid only during the call; a 1x1
+    stride-1 conv's columns are a view of `x` when unpadded.
+
+    The bands are split into one contiguous group per usable core. The
+    calling thread allocates each group's buffers, one for its band's
+    padded input rows and one for its columns, and runs a lone group
+    itself. More groups run on the band pool, each in a copy of the
+    caller's context (so an `np.errstate` holds there too); gemm calls of
+    different groups then overlap, so each writes only its band's part of
+    any shared array. An exception from a band reaches the caller as itself,
+    after every group has finished.
+    """
+    c, _, wd = x.shape
+    rows = bands[0][1] - bands[0][0]
+
+    def run_group(group, pad, buf):
+        for b, (i0, i1) in group:
+            r0, r1 = stride * i0, stride * (i1 - 1) + k
+            src = _pad_rows(x, padding, r0, r1, pad) if padding else x[:, r0:r1]
+            if buf is None:                         # 1x1 stride 1: the rows are the columns
+                cols = src.reshape(c, -1)
+            else:
+                sc, sh, sw = src.strides
+                win = np.lib.stride_tricks.as_strided(
+                    src, (c, k, k, i1 - i0, wo), (sc, sh, sw, stride * sh, stride * sw),
+                    writeable=False)
+                cols = buf[:, :(i1 - i0) * wo]
+                cols.reshape(c, k, k, i1 - i0, wo)[...] = win
+            gemm(b, i0 * wo, i1 * wo, cols)
+
+    numbered, n_groups = list(enumerate(bands)), min(_WORKERS, len(bands))
+    tasks = []
+    for g in range(n_groups):
+        group = numbered[len(bands) * g // n_groups:len(bands) * (g + 1) // n_groups]
+        pad = np.empty((c, stride * (rows - 1) + k, wd + 2 * padding)) if padding else None
+        buf = None if k == 1 and stride == 1 else np.empty((c * k * k, rows * wo))
+        tasks.append((group, pad, buf))
+    if n_groups == 1:
+        run_group(*tasks[0])
         return
-    sc, sh, sw = xp.strides
-    win = np.lib.stride_tricks.as_strided(
-        xp, (c, k, k, ho, wo), (sc, sh, sw, stride * sh, stride * sw), writeable=False)
-    band = min(ho, max(1, BLOCK_PX // wo))
-    buf = np.empty((c * k * k, band * wo))
-    for i0 in range(0, ho, band):
-        i1 = min(i0 + band, ho)
-        cols = buf[:, :(i1 - i0) * wo]
-        cols.reshape(c, k, k, i1 - i0, wo)[...] = win[..., i0:i1, :]
-        yield i0 * wo, i1 * wo, cols
+    pool = _pool()
+    futures = [pool.submit(contextvars.copy_context().run, run_group, *task) for task in tasks]
+    wait(futures)
+    for future in futures:
+        future.result()
 
 
 def _col2im(gcols: Array, c: int, hp: int, wp: int, k: int, stride: int,
@@ -502,10 +578,12 @@ def conv2d(x, w, padding: int = 0, stride: int = 1) -> Tensor:
 
     Zero padding; output side is (H + 2*padding - k) // stride + 1. The
     kernel must be square with odd side. The forward runs one GEMM per
-    block of `_col_blocks`, written straight into the output. The weight
-    rule keeps no columns: it pads the input again and sums one GEMM per
-    block, so a conv over more than BLOCK_PX output pixels may differ from
-    a one-GEMM conv in the last ulp, in its output and its weight gradient.
+    band of `_run_bands`, written straight into its slice of the output.
+    The weight rule keeps no columns: it builds the bands again, writes
+    each band's GEMM into its own part and sums the parts in band order.
+    So a conv over more than BLOCK_PX output pixels may differ from a
+    one-GEMM conv in the last ulp, in its output and its weight gradient,
+    but not with the number of workers that ran its bands.
     """
     x, w = _as_tensor(x), _as_tensor(w)
     if x.data.ndim != 3 or w.data.ndim != 4:
@@ -524,14 +602,14 @@ def conv2d(x, w, padding: int = 0, stride: int = 1) -> Tensor:
         raise ShapeError(f"conv2d output would be empty for input {x.data.shape}, "
                          f"kernel {w.data.shape}, padding {padding}, stride {stride}")
 
-    def blocks():
-        xp = np.pad(x.data, ((0, 0), (padding, padding), (padding, padding))) if padding else x.data
-        return _col_blocks(xp, k, stride, ho, wo)
-
+    bands = _bands(k, stride, ho, wo)
     w2 = w.data.reshape(cout, cin * k * k)
     out = np.empty((cout, ho * wo))
-    for p0, p1, cols in blocks():
+
+    def forward_band(b, p0, p1, cols):
         np.matmul(w2, cols, out=out[:, p0:p1])
+
+    _run_bands(x.data, k, padding, stride, wo, bands, forward_band)
     hp, wp = h + 2 * padding, wd + 2 * padding
 
     def input_rule(g):
@@ -539,10 +617,16 @@ def conv2d(x, w, padding: int = 0, stride: int = 1) -> Tensor:
         return gxp[:, padding:padding + h, padding:padding + wd] if padding else gxp
 
     def weight_rule(g):
-        g2, gw = g.reshape(cout, ho * wo), None
-        for p0, p1, cols in blocks():
-            part = g2[:, p0:p1] @ cols.T
-            gw = part if gw is None else gw + part   # a zero start would turn -0.0 into 0.0
+        g2 = g.reshape(cout, ho * wo)
+        parts = np.empty((len(bands), cout, cin * k * k))
+
+        def weight_band(b, p0, p1, cols):
+            np.matmul(g2[:, p0:p1], cols.T, out=parts[b])
+
+        _run_bands(x.data, k, padding, stride, wo, bands, weight_band)
+        gw = parts[0]
+        for part in parts[1:]:
+            gw += part          # in band order; a zero start would turn -0.0 into 0.0
         return gw.reshape(w.data.shape)
 
     return _from_op(out.reshape(cout, ho, wo), (x, input_rule), (w, weight_rule))

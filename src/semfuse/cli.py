@@ -128,6 +128,10 @@ def resolve(args: argparse.Namespace) -> RunConfig:
         except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read config file {path}: {exc}") from exc
         overlay.update(parse_config_text(text))
+        taken = _COMMANDS[args.command][2] + _COMMON_KEYS
+        for key in overlay:
+            if key not in taken:
+                raise UsageError(f"config key {key!r} is not a setting of {args.command}")
     for key, val in vars(args).items():
         if key in ("command", "config"):
             continue

@@ -4,7 +4,10 @@ Expected values marked as oracle constants were produced by the
 independent references in this file (direct-summation convolution,
 extended-precision softmax via mpmath) and frozen here.
 """
+import sys
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -396,6 +399,17 @@ class TestFrozenWeightBlocks:
         assert np.allclose(got, conv_oracle(x, w, padding, stride), rtol=1e-12, atol=1e-12)
 
 
+def band_columns(x, k, padding, stride, ho, wo):
+    """[(p0, p1, cols)] of every band `ad._run_bands` hands out, in band order."""
+    got = {}
+
+    def record(b, p0, p1, cols):
+        got[b] = (p0, p1, cols.copy())           # the group's next band reuses the buffer
+
+    ad._run_bands(x, k, padding, stride, wo, ad._bands(k, stride, ho, wo), record)
+    return [got[b] for b in sorted(got)]
+
+
 class TestIm2col:
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("stride", [1, 2])
@@ -403,37 +417,111 @@ class TestIm2col:
     @pytest.mark.parametrize("side", [(5, 7), (6, 4)])
     def test_matches_sliding_window(self, rng, monkeypatch, k, stride, padding, side):
         x = rng.normal(size=(3, *side))
-        xp = padded(x, padding)
         ho = (side[0] + 2 * padding - k) // stride + 1
         wo = (side[1] + 2 * padding - k) // stride + 1
         for block_px in [1, 5, 7, 35]:
             monkeypatch.setattr(ad, "BLOCK_PX", block_px)
-            spans, parts = [], []
-            for p0, p1, cols in ad._col_blocks(xp, k, stride, ho, wo):
-                spans.append((p0, p1))
-                parts.append(cols.copy())        # the next block reuses the buffer
+            bands = band_columns(x, k, padding, stride, ho, wo)
+            spans = [(p0, p1) for p0, p1, _ in bands]
             assert spans[0][0] == 0 and spans[-1][1] == ho * wo
             assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
-            got = np.concatenate(parts, axis=1)
-            assert np.array_equal(got, im2col_oracle(xp, k, stride)), block_px
+            got = np.concatenate([cols for _, _, cols in bands], axis=1)
+            assert np.array_equal(got, im2col_oracle(padded(x, padding), k, stride)), block_px
 
     @pytest.mark.parametrize("block_px", [5, 7, 35])
     def test_blocks_are_bands_of_whole_rows(self, rng, monkeypatch, block_px):
-        # 9x6 output pixels: a row wider than BLOCK_PX is a block of its
+        # 9x6 output pixels: a row wider than BLOCK_PX is a band of its
         # own, and at 35 the last band holds the 4 rows left over
         monkeypatch.setattr(ad, "BLOCK_PX", block_px)
         ho, wo = 9, 6
-        xp = rng.normal(size=(2, ho + 2, wo + 2))
-        spans = [(p0, p1) for p0, p1, _ in ad._col_blocks(xp, 3, 1, ho, wo)]
+        x = rng.normal(size=(2, ho + 2, wo + 2))
+        spans = [(p0, p1) for p0, p1, _ in band_columns(x, 3, 0, 1, ho, wo)]
         assert all(p0 % wo == 0 and p1 % wo == 0 for p0, p1 in spans), spans
         assert all(p1 - p0 == max(1, block_px // wo) * wo for p0, p1 in spans[:-1]), spans
 
     def test_pointwise_window_is_a_view(self, rng, monkeypatch):
-        # one block, whatever BLOCK_PX says
+        # one band, whatever BLOCK_PX says
         monkeypatch.setattr(ad, "BLOCK_PX", 7)
         x = rng.normal(size=(4, 5, 6))
-        (p0, p1, cols), = ad._col_blocks(x, 1, 1, 5, 6)
-        assert (p0, p1) == (0, 30) and np.shares_memory(cols, x)
+        seen = []
+        ad._run_bands(x, 1, 0, 1, 6, ad._bands(1, 1, 5, 6),
+                      lambda b, p0, p1, cols: seen.append((b, p0, p1, np.shares_memory(cols, x))))
+        assert seen == [(0, 0, 30, True)]
+
+
+def conv_and_weight_grad(x, w, padding, stride, g):
+    """(conv2d output, its weight gradient for output gradient g)."""
+    wt = ad.Tensor(w, requires_grad=True)
+    out = ad.conv2d(ad.Tensor(x), wt, padding=padding, stride=stride)
+    ad.tsum(ad.mul(out, g)).backward()
+    return out.data, wt.grad
+
+
+@pytest.fixture
+def short_switch_interval():
+    # hand the interpreter lock between the band threads far more often
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(old)
+
+
+class TestBandPool:
+    """A conv's bands run in one group per worker, with the serial loop's bits."""
+
+    @pytest.mark.parametrize("block_px", [7, 35, 4096])
+    @pytest.mark.parametrize("side,stride", [((97, 131), 1), ((300, 211), 2),
+                                             ((129, 515), 1), ((33, 17), 1)])
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_pool_bits_equal_one_worker(self, rng, monkeypatch, short_switch_interval,
+                                        block_px, side, stride, padding, workers):
+        # 3 workers is more than the cores of a 2-core machine, so groups
+        # also wait in the pool's queue
+        monkeypatch.setattr(ad, "BLOCK_PX", block_px)
+        x, w = rng.normal(size=(3, *side)), rng.normal(size=(4, 3, 3, 3))
+        ho = (side[0] + 2 * padding - 3) // stride + 1
+        wo = (side[1] + 2 * padding - 3) // stride + 1
+        g = rng.normal(size=(4, ho, wo))
+        monkeypatch.setattr(ad, "_WORKERS", 1)
+        serial = conv_and_weight_grad(x, w, padding, stride, g)
+        monkeypatch.setattr(ad, "_WORKERS", workers)
+        pooled = conv_and_weight_grad(x, w, padding, stride, g)
+        assert np.array_equal(pooled[0], serial[0])
+        assert np.array_equal(pooled[1], serial[1])
+
+    def test_errstate_holds_in_the_workers(self, monkeypatch):
+        # every band's GEMM overflows to inf; a worker outside the caller's
+        # errstate would warn, and the warning would raise here
+        monkeypatch.setattr(ad, "BLOCK_PX", 7)
+        monkeypatch.setattr(ad, "_WORKERS", 2)
+        x, w = np.full((2, 9, 9), 1e200), np.full((3, 2, 3, 3), 1e200)
+        with warnings.catch_warnings(), np.errstate(over="ignore"):
+            warnings.simplefilter("error")
+            out = ad.conv2d(ad.Tensor(x), ad.Tensor(w), padding=1)
+        assert len(ad._bands(3, 1, 9, 9)) == 9 and np.isposinf(out.data).all()
+
+    def test_band_exception_reaches_caller_as_itself(self, rng, monkeypatch):
+        monkeypatch.setattr(ad, "BLOCK_PX", 8)
+        monkeypatch.setattr(ad, "_WORKERS", 2)
+        x = rng.normal(size=(2, 8, 8))
+        bands = ad._bands(3, 1, 8, 8)                # 8 bands, 4 per group
+        err, ran = ValueError("band 1"), []
+
+        def gemm(b, p0, p1, cols):
+            if b == 1:
+                raise err
+            if b == 7:
+                time.sleep(0.2)                  # the other group ends well after the error
+            ran.append(b)
+
+        with pytest.raises(ValueError) as info:
+            ad._run_bands(x, 3, 1, 1, 8, bands, gemm)
+        assert info.value is err
+        # the other group finished before the error reached the caller
+        assert sorted(ran) == [0, 4, 5, 6, 7]
 
 
 # --------------------------------------------------------------------------

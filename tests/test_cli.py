@@ -88,6 +88,21 @@ class TestConfig:
         rc, _, err = run(capsys, "info", "--config", str(cfgfile))
         assert rc == 1 and "wat" in err
 
+    def test_config_key_of_another_command_exits_1(self, tmp_path, capsys):
+        # info takes only the attention-variant keys, not no_sam
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("no_sam=1\n")
+        rc, out, err = run(capsys, "info", "--config", str(cfgfile))
+        assert rc == 1 and out == ""
+        assert err == "error: config key 'no_sam' is not a setting of info\n"
+
+    def test_config_key_of_its_command_runs(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("no_sam=1\n")
+        rc, out, _ = run(capsys, *train_args(tmp_path / "run"), "--steps", "1",
+                         "--config", str(cfgfile))
+        assert rc == 0 and "no_sam=true" in out.splitlines()
+
     def test_missing_config_file_exits_1(self, capsys):
         rc, _, err = run(capsys, "info", "--config", "/definitely/not/here.cfg")
         assert rc == 1 and "config" in err
