@@ -9,10 +9,10 @@ are verified against central finite differences in the test suite.
 """
 from __future__ import annotations
 
-import contextvars
+import ctypes
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor, wait
+from pathlib import Path
 from contextlib import contextmanager
 from typing import Callable, Iterable
 
@@ -466,20 +466,34 @@ def softmax_rows(a) -> Tensor:
 BLOCK_PX = 4096
 
 
-# Band groups per conv: at most one per core this process may run on. The
-# pool is started by the first conv that runs more than one group.
-_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-_POOL: ThreadPoolExecutor | None = None
-_POOL_LOCK = threading.Lock()
+def _blas_threads() -> int | None:
+    """Threads of the OpenBLAS this process has loaded, or None if unknown."""
+    try:
+        maps = Path("/proc/self/maps").read_text()
+    except OSError:
+        return None
+    for lib in sorted({line.split()[-1] for line in maps.splitlines() if "openblas" in line}):
+        for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                    "openblas_get_num_threads"):
+            fn = getattr(ctypes.CDLL(lib), sym, None)
+            if fn is not None:
+                return fn()
+    return None
 
 
-def _pool() -> ThreadPoolExecutor:
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            _POOL = ThreadPoolExecutor(_WORKERS, thread_name_prefix="semfuse-band")
-        return _POOL
+# Band groups per conv: one per core this process may run on, but only
+# where BLAS is seen to run one thread; a GEMM that already runs on every
+# core would share them with the other groups' GEMMs. The count is read
+# once, at import.
+_WORKERS = ((len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1) if _blas_threads() == 1 else 1)
+# At most this many groups, whatever the cores: each group holds its own
+# column buffer and padded rows, so the peak grows with the groups. A
+# frozen student at 128^2 (four bands per 3x3 conv) peaks at 275 float64
+# per pixel with two groups and 436 with four; its test allows 280.
+MAX_GROUPS = 2
+# Starts no thread until the first conv that runs more than one group.
+_POOL = ThreadPoolExecutor(MAX_GROUPS, thread_name_prefix="semfuse-band")
 
 
 def _bands(k: int, stride: int, ho: int, wo: int) -> list[tuple[int, int]]:
@@ -519,14 +533,13 @@ def _run_bands(x: Array, k: int, padding: int, stride: int, wo: int,
     zero-padded by `padding`. It is valid only during the call; a 1x1
     stride-1 conv's columns are a view of `x` when unpadded.
 
-    The bands are split into one contiguous group per usable core. The
-    calling thread allocates each group's buffers, one for its band's
+    The bands are split into min(_WORKERS, MAX_GROUPS) contiguous groups.
+    The calling thread allocates each group's buffers, one for its band's
     padded input rows and one for its columns, and runs a lone group
-    itself. More groups run on the band pool, each in a copy of the
-    caller's context (so an `np.errstate` holds there too); gemm calls of
-    different groups then overlap, so each writes only its band's part of
-    any shared array. An exception from a band reaches the caller as itself,
-    after every group has finished.
+    itself. More groups run on the band pool, each under the caller's
+    `np.errstate`; gemm calls of different groups then overlap, so each
+    writes only its band's part of any shared array. An exception from a
+    band reaches the caller as itself, after every group has finished.
     """
     c, _, wd = x.shape
     rows = bands[0][1] - bands[0][0]
@@ -546,7 +559,7 @@ def _run_bands(x: Array, k: int, padding: int, stride: int, wo: int,
                 cols.reshape(c, k, k, i1 - i0, wo)[...] = win
             gemm(b, i0 * wo, i1 * wo, cols)
 
-    numbered, n_groups = list(enumerate(bands)), min(_WORKERS, len(bands))
+    numbered, n_groups = list(enumerate(bands)), min(_WORKERS, MAX_GROUPS, len(bands))
     tasks = []
     for g in range(n_groups):
         group = numbered[len(bands) * g // n_groups:len(bands) * (g + 1) // n_groups]
@@ -556,8 +569,13 @@ def _run_bands(x: Array, k: int, padding: int, stride: int, wo: int,
     if n_groups == 1:
         run_group(*tasks[0])
         return
-    pool = _pool()
-    futures = [pool.submit(contextvars.copy_context().run, run_group, *task) for task in tasks]
+    err, call = np.geterr(), np.geterrcall()
+
+    def run_pooled(task):
+        with np.errstate(call=call, **err):         # a pool thread starts at numpy's default
+            run_group(*task)
+
+    futures = [_POOL.submit(run_pooled, task) for task in tasks]
     wait(futures)
     for future in futures:
         future.result()

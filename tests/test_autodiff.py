@@ -475,19 +475,20 @@ class TestBandPool:
     @pytest.mark.parametrize("side,stride", [((97, 131), 1), ((300, 211), 2),
                                              ((129, 515), 1), ((33, 17), 1)])
     @pytest.mark.parametrize("padding", [0, 1])
-    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("groups", [2, 3])
     def test_pool_bits_equal_one_worker(self, rng, monkeypatch, short_switch_interval,
-                                        block_px, side, stride, padding, workers):
-        # 3 workers is more than the cores of a 2-core machine, so groups
-        # also wait in the pool's queue
+                                        block_px, side, stride, padding, groups):
+        # 3 groups is more than the pool's MAX_GROUPS threads, so groups
+        # also wait in its queue
         monkeypatch.setattr(ad, "BLOCK_PX", block_px)
+        monkeypatch.setattr(ad, "MAX_GROUPS", groups)
         x, w = rng.normal(size=(3, *side)), rng.normal(size=(4, 3, 3, 3))
         ho = (side[0] + 2 * padding - 3) // stride + 1
         wo = (side[1] + 2 * padding - 3) // stride + 1
         g = rng.normal(size=(4, ho, wo))
         monkeypatch.setattr(ad, "_WORKERS", 1)
         serial = conv_and_weight_grad(x, w, padding, stride, g)
-        monkeypatch.setattr(ad, "_WORKERS", workers)
+        monkeypatch.setattr(ad, "_WORKERS", groups)
         pooled = conv_and_weight_grad(x, w, padding, stride, g)
         assert np.array_equal(pooled[0], serial[0])
         assert np.array_equal(pooled[1], serial[1])
@@ -502,6 +503,28 @@ class TestBandPool:
             warnings.simplefilter("error")
             out = ad.conv2d(ad.Tensor(x), ad.Tensor(w), padding=1)
         assert len(ad._bands(3, 1, 9, 9)) == 9 and np.isposinf(out.data).all()
+
+    def test_errstate_callback_runs_for_a_worker_overflow(self, monkeypatch):
+        monkeypatch.setattr(ad, "BLOCK_PX", 7)
+        monkeypatch.setattr(ad, "_WORKERS", 2)
+        x, w = np.full((2, 9, 9), 1e200), np.full((3, 2, 3, 3), 1e200)
+        seen = []
+        with np.errstate(over="call", call=lambda kind, flag: seen.append(kind)):
+            ad.conv2d(ad.Tensor(x), ad.Tensor(w), padding=1)
+        assert seen and set(seen) == {"overflow"}
+
+    def test_groups_are_capped_whatever_the_cores(self, rng, monkeypatch):
+        monkeypatch.setattr(ad, "BLOCK_PX", 8)
+        monkeypatch.setattr(ad, "_WORKERS", 8)
+        x = rng.normal(size=(2, 8, 8))
+        buffers = {}
+
+        def gemm(b, p0, p1, cols):
+            buffers[b] = cols.ctypes.data        # each group reuses one column buffer
+
+        ad._run_bands(x, 3, 1, 1, 8, ad._bands(3, 1, 8, 8), gemm)
+        assert len(set(buffers.values())) == ad.MAX_GROUPS == 2
+        assert buffers[0] == buffers[3] != buffers[4] == buffers[7]
 
     def test_band_exception_reaches_caller_as_itself(self, rng, monkeypatch):
         monkeypatch.setattr(ad, "BLOCK_PX", 8)
