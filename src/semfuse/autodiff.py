@@ -273,14 +273,19 @@ def clamp_min(a, floor: float) -> Tensor:
     return _from_op(np.maximum(a.data, floor), (a, lambda g: g * (a.data > floor)))
 
 
-def sigmoid(a) -> Tensor:
-    a = _as_tensor(a)
-    x = a.data
+def _sigmoid(x: Array) -> Array:
+    """1 / (1 + exp(-x)), with exp taken only of non-positive values."""
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def sigmoid(a) -> Tensor:
+    a = _as_tensor(a)
+    out = _sigmoid(a.data)
     return _from_op(out, (a, lambda g: g * out * (1.0 - out)))
 
 

@@ -208,7 +208,7 @@ def _resolve_checkpoint(cfg: RunConfig) -> Path:
 
 
 def cmd_fuse(cfg: RunConfig) -> int:
-    """Student-only inference. The prior/attention machinery must not run."""
+    """Student-only inference without a tape. The prior/attention machinery must not run."""
     if not cfg.data:
         raise UsageError("fuse needs --data DIR with paired sources")
     ckpt = _resolve_checkpoint(cfg)
@@ -219,20 +219,19 @@ def cmd_fuse(cfg: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     before = snapshot()
     written = []
-    with frozen(student.parameters()):
-        for stem, vis_path, ir_path in entries:
-            vis, ir, chroma = load_pair(vis_path, ir_path)
-            fused, _taps = student.forward(vis, ir)
-            if not np.isfinite(fused.data).all():
-                raise NonFiniteError(f"non-finite values in the fused image of pair {stem}")
-            luma = Image(fused.data[0])
-            if chroma is not None:
-                target = out / f"{stem}.fused.ppm"
-                save_image(ycbcr_to_rgb(luma, chroma), target)
-            else:
-                target = out / f"{stem}.fused.pgm"
-                save_image(luma, target)
-            written.append(target)
+    for stem, vis_path, ir_path in entries:
+        vis, ir, chroma = load_pair(vis_path, ir_path)
+        fused = student.infer(vis, ir)
+        if not np.isfinite(fused).all():
+            raise NonFiniteError(f"non-finite values in the fused image of pair {stem}")
+        luma = Image(fused)
+        if chroma is not None:
+            target = out / f"{stem}.fused.ppm"
+            save_image(ycbcr_to_rgb(luma, chroma), target)
+        else:
+            target = out / f"{stem}.fused.pgm"
+            save_image(luma, target)
+        written.append(target)
     moved = {k: v for k, v in delta(before).items() if v}
     if moved:
         raise ContractError(

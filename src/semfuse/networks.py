@@ -7,7 +7,8 @@ image; under `no_pr` it has neither repository nor source encoder. The
 student is a compact stem / dense-block / transition stack with a
 sigmoid head; 1x1 stride-2 adapters expose per-block features in the
 same shape as the teacher's per-stage features so the distillation terms
-can compare them directly.
+can compare them directly. `StudentNet.infer`, which `fuse` runs, gives
+the student's fused image bit for bit without a tape or the adapters.
 
 Both networks map [0, 1] inputs of any size >= 3x3 to an output of
 exactly the input size.
@@ -17,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import operator
 import struct
+import threading
 from dataclasses import dataclass
 from functools import reduce
 
@@ -147,6 +149,59 @@ def dense_block(x: Tensor, layer_params: list[tuple[Tensor, Tensor]]) -> Tensor:
     return ad.concat(feats, axis=0)
 
 
+def _conv_rows(x: np.ndarray, w2: np.ndarray, out: np.ndarray, add: bool,
+               bias: np.ndarray, activate: bool) -> None:
+    """The 3x3 conv, padding 1, of the map `x` (C, H, W) by `w2` (C_out, C*9), band by band.
+
+    Each band's product is written into its columns of `out` (C_out, H*W),
+    or, if `add`, added to them through one scratch per band group. Then
+    the band's first len(bias) rows get the bias and, if `activate`, the
+    leaky ReLU, in place. Each element so sees the operations of
+    `conv2d`, `+` and `leaky_relu` in the same order, on a GEMM of the
+    same shape.
+    """
+    _, h, w = x.shape
+    bands = ad._bands(3, 1, h, w)
+    done = out[:len(bias)]
+    scratch = threading.local()                     # one per thread, so per running group
+
+    def band(_, p0, p1, cols):
+        if add:
+            part = getattr(scratch, "part", None)
+            if part is None:
+                part = scratch.part = np.empty((len(w2), (bands[0][1] - bands[0][0]) * w))
+            part = part[:, :p1 - p0]
+            np.matmul(w2, cols, out=part)
+            out[:, p0:p1] += part
+        else:
+            np.matmul(w2, cols, out=out[:, p0:p1])
+        o = done[:, p0:p1]
+        o += bias[:, None]
+        if activate:
+            np.maximum(o, LEAKY_SLOPE * o, out=o)
+
+    ad._run_bands(x, 3, 1, 1, w, bands, band)
+
+
+def _dense_block_rows(buf: np.ndarray, layers: list[tuple[Tensor, Tensor]],
+                      h: int, w: int) -> None:
+    """`dense_block` without a tape, in place over `buf` (C_in + growth * L, H*W).
+
+    Rows 0:C_in hold the block input, and each layer's output goes into
+    the rows after its predecessor's, so `buf` ends as the concatenated
+    block output. Map j's stacked GEMM writes (map 0) or adds (later maps)
+    its product into the rows of layers j.., in the order `dense_block`
+    sums them, and layer j's band gets its bias and leaky ReLU at once.
+    """
+    widths = [lw.shape[0] for lw, _ in layers]
+    edge = np.cumsum([0, len(buf) - sum(widths)] + widths)   # map j: rows edge[j]:edge[j+1]
+    for j, (_, b) in enumerate(layers):
+        lo, hi = edge[j], edge[j + 1]
+        stacked = np.concatenate([lw.data[:, lo:hi] for lw, _ in layers[j:]])
+        _conv_rows(buf[lo:hi].reshape(hi - lo, h, w), stacked.reshape(len(stacked), -1),
+                   buf[hi:], j > 0, b.data, True)
+
+
 class TeacherNet(ParamModule):
     """Fusion network with repository cross-attention over semantic patches."""
 
@@ -250,6 +305,36 @@ class StudentNet(ParamModule):
             del blocked                            # free it before the next block runs
         out = _conv_block(cur, *self.head, padding=1, activate=False)
         return ad.sigmoid(out), taps
+
+    def infer(self, vis, ir) -> np.ndarray:
+        """The fused (H, W) image of one pair: forward(vis, ir)[0].data[0], bit for bit.
+
+        Builds no tape and skips the adapter taps. Every 3x3 conv runs its
+        bias, leaky ReLU and dense-block sums inside its band GEMMs, and a
+        dense block runs in one buffer that its transition reads whole.
+        """
+        vis, ir = np.asarray(vis, dtype=np.float64), np.asarray(ir, dtype=np.float64)
+        if vis.shape != ir.shape:
+            raise ShapeError(f"source shapes differ: {vis.shape} vs {ir.shape}")
+        h, w = vis.shape
+        sc = self.cfg.stem_channels
+        buf = np.empty((sc + self.cfg.growth * self.cfg.layers_per_block, h * w))
+        stem_w, stem_b = self.stem
+        _conv_rows(np.stack([vis, ir]), stem_w.data.reshape(sc, -1), buf[:sc], False,
+                   stem_b.data, True)
+        for layers, (tw, tb) in zip(self.blocks, self.transitions):
+            _dense_block_rows(buf, layers, h, w)
+            nxt = np.empty_like(buf)
+            cur = nxt[:sc]                          # a 1x1 conv: one GEMM, as conv2d runs it
+            np.matmul(tw.data.reshape(sc, -1), buf, out=cur)
+            cur += tb.data[:, None]
+            np.maximum(cur, LEAKY_SLOPE * cur, out=cur)
+            buf = nxt
+        out = np.empty((1, h * w))
+        head_w, head_b = self.head
+        _conv_rows(buf[:sc].reshape(sc, h, w), head_w.data.reshape(1, -1), out, False,
+                   head_b.data, False)
+        return ad._sigmoid(out).reshape(h, w)
 
 
 def build_nets(seed: int, variant: str = "full") -> tuple[TeacherNet, StudentNet]:

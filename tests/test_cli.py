@@ -22,7 +22,7 @@ from semfuse.cli import (EVAL_HEADER, RunConfig, UsageError, build_parser, main,
                          parse_config_text, resolve)
 from semfuse.data import load_pair, synth_pair, write_dataset
 from semfuse.errors import ContractError, NonFiniteError
-from semfuse.imageio import Image, load_image, save_image
+from semfuse.imageio import Image, load_image, quantize, save_image
 from semfuse.instrumentation import snapshot
 from semfuse.losses import CSV_HEADER, loss_context
 from semfuse.metrics import evaluate_triple
@@ -384,6 +384,32 @@ class TestFuse:
             assert rc == 0
             blobs.append((out / "pair000.fused.pgm").read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_runs_without_the_training_forward(self, tmp_path, capsys, monkeypatch):
+        # fuse computes no adapter taps and builds no tape: with the training
+        # forward made to raise it still writes the frozen forward's bytes
+        data = tmp_path / "data"
+        write_dataset(data, 1, h=97, w=131, seed=8)
+        student = StudentNet(StudentConfig(), seed=3)
+        rng = np.random.default_rng(12)
+        for name, t in student.named_parameters():
+            if name.endswith(".b"):
+                t.data = rng.normal(scale=0.1, size=t.data.shape)
+        save_checkpoint(tmp_path / "sub.ckpt", student)
+        vis, ir, _ = load_pair(data / "pair000.vis.pgm", data / "pair000.ir.pgm")
+        with ad.frozen(student.parameters()):
+            want = quantize(student.forward(vis, ir)[0].data[0]).tobytes()
+
+        def no_forward(self, vis, ir):
+            raise AssertionError("fuse ran StudentNet.forward")
+
+        monkeypatch.setattr(StudentNet, "forward", no_forward)
+        out = tmp_path / "fused"
+        rc, _, _ = run(capsys, "fuse", "--data", str(data),
+                       "--ckpt", str(tmp_path / "sub.ckpt"), "--out", str(out))
+        assert rc == 0
+        blob = (out / "pair000.fused.pgm").read_bytes()
+        assert blob == b"P5\n131 97\n255\n" + want
 
     def test_overfit_identity_pair(self, tmp_path, capsys):
         # a student trained to reproduce I from (I, I) must fuse to ~I

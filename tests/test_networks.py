@@ -1,4 +1,5 @@
 """Network shapes, parameter accounting, checkpoints, gradient flow."""
+import functools
 import re
 import tracemalloc
 from dataclasses import replace
@@ -150,14 +151,15 @@ class TestDenseBlock:
             dense_block(x, layers)
 
 
-def frozen_student_peak_per_pixel(side: int) -> float:
-    """Traced peak of a frozen default student forward, in float64 per pixel."""
+def frozen_student_peak_per_pixel(side: int, path: str) -> float:
+    """Traced peak of a default student's frozen `forward` or its `infer`
+    (the path `fuse` runs), in float64 per pixel."""
     vis, ir = synth_pair(0, side, side)
     net = StudentNet()
     with ad.frozen(net.parameters()):
         tracemalloc.start()
         try:
-            net.forward(vis, ir)
+            getattr(net, path)(vis, ir)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -173,19 +175,69 @@ class TestInferenceMemory:
 
     def test_frozen_student_peak_is_bounded_per_pixel(self):
         # a dense block holds one map's columns at a time (at most 288 rows);
-        # one buffer for all of a block's maps (720 rows) peaks at 1,024
-        per_pixel = frozen_student_peak_per_pixel(64)
-        assert per_pixel <= 600, f"{per_pixel:.0f} float64 per pixel"
+        # one buffer for all of a block's maps (720 rows) peaks at 1,024.
+        # Measured: 439 float64 per pixel on either path
+        for path in ("forward", "infer"):
+            per_pixel = frozen_student_peak_per_pixel(64, path)
+            assert per_pixel <= 600, f"{path}: {per_pixel:.0f} float64 per pixel"
 
     def test_frozen_student_peak_over_several_blocks_is_bounded_per_pixel(self):
         # at 128^2 each 3x3 conv runs four 4,096-pixel bands in
         # MAX_GROUPS = 2 groups, each with its own column buffer and padded
-        # rows; a dense block's output is freed before the next dense block
-        # runs, and a dense layer's conv response and finished sum before
-        # the next map's conv. The peak grows with the groups: 248 float64
-        # per pixel measured with one group, 275 with two, 436 with four
-        per_pixel = frozen_student_peak_per_pixel(128)
-        assert per_pixel <= 280, f"{per_pixel:.0f} float64 per pixel"
+        # rows. forward frees a dense block's output before the next dense
+        # block runs, and a dense layer's conv response and finished sum
+        # before the next map's conv; infer holds one block buffer, and
+        # the next one only while the transition runs. The peak grows with
+        # the groups: forward measured 248 float64 per pixel with one
+        # group, 275 with two, 436 with four; infer 268 with two
+        for path in ("forward", "infer"):
+            per_pixel = frozen_student_peak_per_pixel(128, path)
+            assert per_pixel <= 280, f"{path}: {per_pixel:.0f} float64 per pixel"
+
+
+@functools.lru_cache(maxsize=None)
+def forward_and_infer_net(side):
+    """A default student with seeded non-zero biases, and its frozen
+    forward's fused image of a seeded pair of size `side`."""
+    net = StudentNet(seed=4)
+    rng = np.random.default_rng(5)
+    for name, t in net.named_parameters():
+        if name.endswith(".b"):                         # zero biases would hide their order
+            t.data = rng.normal(scale=0.1, size=t.data.shape)
+    vis, ir = synth_pair(side[0] + side[1], *side)
+    with ad.frozen(net.parameters()):
+        want = net.forward(vis, ir)[0].data[0]
+    return net, vis, ir, want
+
+
+class TestStudentInference:
+    """`infer`, the tape-free path `fuse` runs, equals the frozen forward bit for bit."""
+
+    @pytest.mark.parametrize("side", [(256, 256), (97, 131), (300, 211), (33, 17),
+                                      (129, 515), (80, 300), (72, 72), (512, 384)])
+    @pytest.mark.parametrize("groups", [1, 2, 3])
+    def test_bits_equal_frozen_forward(self, monkeypatch, side, groups):
+        # 3 groups is more than the pool's threads, so groups also queue
+        monkeypatch.setattr(ad, "_WORKERS", groups)
+        monkeypatch.setattr(ad, "MAX_GROUPS", groups)
+        net, vis, ir, want = forward_and_infer_net(side)
+        got = net.infer(vis, ir)
+        assert got.shape == side and np.array_equal(got, want)
+
+    def test_slim_config_bits_equal_frozen_forward(self):
+        net, rng = StudentNet(SLIM_STUDENT, seed=2), np.random.default_rng(8)
+        for name, t in net.named_parameters():
+            if name.endswith(".b"):
+                t.data = rng.normal(scale=0.1, size=t.data.shape)
+        vis, ir = sources(45, 29, seed=6)
+        with ad.frozen(net.parameters()):
+            want = net.forward(vis, ir)[0].data[0]
+        assert np.array_equal(net.infer(vis, ir), want)
+
+    def test_mismatched_sources_rejected(self):
+        vis, ir = sources(8, 8)
+        with pytest.raises(ShapeError, match="source shapes differ"):
+            StudentNet().infer(vis, ir[:, :7])
 
 
 class TestTrainingTapeMemory:
