@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import ctypes
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from pathlib import Path
 from contextlib import contextmanager
@@ -106,16 +107,22 @@ def _node(data: Array, parents: tuple = (), backward: Callable | None = None) ->
     return out
 
 
-def _from_op(data: Array, *edges: tuple[Tensor, Callable[[Array], Array]]) -> Tensor:
+def _from_op(data: Array, *edges: tuple[Tensor, Callable[[Array], Array]],
+             pre: Callable[[Array], Array] | None = None) -> Tensor:
     """The output of an op, with an edge to each input a gradient flows to.
 
     Each edge is an (input, rule) pair; rule(g) is that input's gradient
-    given the output gradient g. Only the edges whose input requires a
-    gradient now are kept, so no rule runs for a constant; with none kept
-    the result is a plain constant.
+    given the output gradient g, or pre(g), taken once for all rules, if given.
+    Only the edges whose input requires a gradient now are kept, so no
+    rule runs for a constant; with none kept the result is a constant.
     """
     kept = [edge for edge in edges if edge[0].requires_grad]
-    return _node(data, tuple(p for p, _ in kept), lambda g: tuple(rule(g) for _, rule in kept))
+
+    def rules(g):
+        g = g if pre is None else pre(g)
+        return tuple(rule(g) for _, rule in kept)
+
+    return _node(data, tuple(p for p, _ in kept), rules)
 
 
 def trace(root: Tensor) -> list[Tensor]:
@@ -289,7 +296,11 @@ def sigmoid(a) -> Tensor:
     return _from_op(out, (a, lambda g: g * out * (1.0 - out)))
 
 
-def leaky_relu(a, slope: float = 0.2) -> Tensor:
+# The one leaky-ReLU slope: of `leaky_relu` by default and of `conv2d(leaky=True)`.
+LEAKY_SLOPE = 0.2
+
+
+def leaky_relu(a, slope: float = LEAKY_SLOPE) -> Tensor:
     """max(a, slope * a), which for 0 <= slope <= 1 is a where a >= 0, else slope * a."""
     if not 0.0 <= slope <= 1.0:
         raise ContractError(f"leaky_relu slope must lie in [0, 1], got {slope}")
@@ -596,17 +607,51 @@ def _col2im(gcols: Array, c: int, hp: int, wp: int, k: int, stride: int,
     return gx
 
 
-def conv2d(x, w, padding: int = 0, stride: int = 1) -> Tensor:
-    """2-d cross-correlation of (C_in, H, W) with (C_out, C_in, k, k).
+def conv_into(x: Array, w: Array, out: Array, padding: int, stride: int,
+              bias: Array | None = None, leaky: bool = False, add: bool = False) -> None:
+    """The conv of the map `x` (C_in, H, W) by `w` (C_out, C_in, k, k) into
+    `out` (C_out, H_out*W_out), without a tape, on the band workers.
+
+    Each band of `_run_bands` writes its GEMM into its columns of `out`,
+    or if `add` adds it through one scratch per band group. Then, in
+    place, the band's first len(bias) rows (all rows if `bias` is None)
+    get the bias and, if `leaky`, max(o, LEAKY_SLOPE*o). So each element
+    sees a conv, `+` and `leaky_relu` in that order.
+    """
+    cout, _, k, _ = w.shape
+    ho, wo = ((n + 2 * padding - k) // stride + 1 for n in x.shape[1:])
+    bands = _bands(k, stride, ho, wo)
+    w2 = w.reshape(cout, -1)
+    done = out if bias is None else out[:len(bias)]
+    scratch = threading.local()                     # one per thread, so per running group
+
+    def band(_, p0, p1, cols):
+        if add:
+            if not hasattr(scratch, "part"):
+                scratch.part = np.empty((cout, (bands[0][1] - bands[0][0]) * wo))
+            out[:, p0:p1] += np.matmul(w2, cols, out=scratch.part[:, :p1 - p0])
+        else:
+            np.matmul(w2, cols, out=out[:, p0:p1])
+        o = done[:, p0:p1]
+        if bias is not None:
+            o += bias[:, None]
+        if leaky:
+            np.maximum(o, LEAKY_SLOPE * o, out=o)
+
+    _run_bands(x, k, padding, stride, wo, bands, band)
+
+
+def conv2d(x, w, b=None, padding: int = 0, stride: int = 1, leaky: bool = False) -> Tensor:
+    """2-d cross-correlation of (C_in, H, W) with (C_out, C_in, k, k), plus
+    the bias `b` (C_out,) if given, then the leaky ReLU if `leaky`: one node.
 
     Zero padding; output side is (H + 2*padding - k) // stride + 1. The
-    kernel must be square with odd side. The forward runs one GEMM per
-    band of `_run_bands`, written straight into its slice of the output.
-    The weight rule keeps no columns: it builds the bands again, writes
-    each band's GEMM into its own part and sums the parts in band order.
-    So a conv over more than BLOCK_PX output pixels may differ from a
-    one-GEMM conv in the last ulp, in its output and its weight gradient,
-    but not with the number of workers that ran its bands.
+    kernel must be square with odd side. The forward is `conv_into`. The
+    weight rule keeps no columns: it builds the bands again, writes each
+    band's GEMM into its own part and sums the parts in band order. So a
+    conv over more than BLOCK_PX output pixels may differ from a one-GEMM
+    conv in the last ulp, in its output and its weight gradient, but not
+    with the number of workers that ran its bands.
     """
     x, w = _as_tensor(x), _as_tensor(w)
     if x.data.ndim != 3 or w.data.ndim != 4:
@@ -617,34 +662,32 @@ def conv2d(x, w, padding: int = 0, stride: int = 1) -> Tensor:
         raise ShapeError(f"conv2d kernel must be square with odd side, got {w.data.shape}")
     if cin != cin_w:
         raise ShapeError(f"conv2d channel mismatch: input {x.data.shape} vs kernel {w.data.shape}")
+    b = None if b is None else _as_tensor(b)
+    if b is not None and b.data.shape != (cout,):
+        raise ShapeError(f"conv2d bias {b.data.shape} does not match kernel {w.data.shape}")
     if padding < 0 or stride < 1:
         raise ContractError(f"conv2d invalid padding={padding} stride={stride}")
-    ho = (h + 2 * padding - k) // stride + 1
-    wo = (wd + 2 * padding - k) // stride + 1
+    ho, wo = ((n + 2 * padding - k) // stride + 1 for n in (h, wd))
     if ho < 1 or wo < 1:
         raise ShapeError(f"conv2d output would be empty for input {x.data.shape}, "
                          f"kernel {w.data.shape}, padding {padding}, stride {stride}")
 
+    out = np.empty((cout, ho, wo))
+    conv_into(x.data, w.data, out.reshape(cout, -1), padding, stride,
+              None if b is None else b.data, leaky)
     bands = _bands(k, stride, ho, wo)
-    w2 = w.data.reshape(cout, cin * k * k)
-    out = np.empty((cout, ho * wo))
-
-    def forward_band(b, p0, p1, cols):
-        np.matmul(w2, cols, out=out[:, p0:p1])
-
-    _run_bands(x.data, k, padding, stride, wo, bands, forward_band)
-    hp, wp = h + 2 * padding, wd + 2 * padding
 
     def input_rule(g):
-        gxp = _col2im(w2.T @ g.reshape(cout, ho * wo), cin, hp, wp, k, stride, ho, wo)
+        gxp = _col2im(w.data.reshape(cout, -1).T @ g.reshape(cout, ho * wo), cin,
+                      h + 2 * padding, wd + 2 * padding, k, stride, ho, wo)
         return gxp[:, padding:padding + h, padding:padding + wd] if padding else gxp
 
     def weight_rule(g):
         g2 = g.reshape(cout, ho * wo)
         parts = np.empty((len(bands), cout, cin * k * k))
 
-        def weight_band(b, p0, p1, cols):
-            np.matmul(g2[:, p0:p1], cols.T, out=parts[b])
+        def weight_band(i, p0, p1, cols):
+            np.matmul(g2[:, p0:p1], cols.T, out=parts[i])
 
         _run_bands(x.data, k, padding, stride, wo, bands, weight_band)
         gw = parts[0]
@@ -652,7 +695,12 @@ def conv2d(x, w, padding: int = 0, stride: int = 1) -> Tensor:
             gw += part          # in band order; a zero start would turn -0.0 into 0.0
         return gw.reshape(w.data.shape)
 
-    return _from_op(out.reshape(cout, ho, wo), (x, input_rule), (w, weight_rule))
+    # The mask reads the output's sign, which is the pre-activation's only
+    # because LEAKY_SLOPE > 0: with slope 0, -0.0 outputs would hide negative
+    # inputs (here only the two smallest negative subnormals round to -0.0).
+    bias_edge = [] if b is None else [(b, lambda g: g.sum(axis=(1, 2)))]
+    return _from_op(out, (x, input_rule), (w, weight_rule), *bias_edge,
+                    pre=(lambda g: g * np.where(out >= 0, 1.0, LEAKY_SLOPE)) if leaky else None)
 
 
 def _sobel_core(xp: Tensor, h: int, w: int) -> Tensor:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import hashlib
 import operator
 import struct
-import threading
 from dataclasses import dataclass
 from functools import reduce
 
@@ -28,8 +27,6 @@ from . import autodiff as ad
 from .attention import OWNS, VARIANTS, AttentionParams, attention_stage, build_repository, kaiming
 from .autodiff import Tensor
 from .errors import CheckpointError, ContractError, ShapeError
-
-LEAKY_SLOPE = 0.2
 
 
 @dataclass(frozen=True)
@@ -111,13 +108,6 @@ def _image(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x)[None])
 
 
-def _conv_block(x: Tensor, w: Tensor, b: Tensor, padding: int, stride: int = 1,
-                activate: bool = True) -> Tensor:
-    out = ad.conv2d(x, w, padding=padding, stride=stride)
-    out = out + ad.reshape(b, (b.size, 1, 1))
-    return ad.leaky_relu(out, LEAKY_SLOPE) if activate else out
-
-
 def dense_block(x: Tensor, layer_params: list[tuple[Tensor, Tensor]]) -> Tensor:
     """Densely connected conv layers: each consumes every prior feature map.
 
@@ -145,42 +135,8 @@ def dense_block(x: Tensor, layer_params: list[tuple[Tensor, Tensor]]) -> Tensor:
             sums[i] = sums[i] + piece if i in sums else piece
             row += w.shape[0]
         del resp, piece                 # free them before the next map's conv
-        feats.append(ad.leaky_relu(sums.pop(j) + ad.reshape(b, (b.size, 1, 1)), LEAKY_SLOPE))
+        feats.append(ad.leaky_relu(sums.pop(j) + ad.reshape(b, (b.size, 1, 1)), ad.LEAKY_SLOPE))
     return ad.concat(feats, axis=0)
-
-
-def _conv_rows(x: np.ndarray, w2: np.ndarray, out: np.ndarray, add: bool,
-               bias: np.ndarray, activate: bool) -> None:
-    """The 3x3 conv, padding 1, of the map `x` (C, H, W) by `w2` (C_out, C*9), band by band.
-
-    Each band's product is written into its columns of `out` (C_out, H*W),
-    or, if `add`, added to them through one scratch per band group. Then
-    the band's first len(bias) rows get the bias and, if `activate`, the
-    leaky ReLU, in place. Each element so sees the operations of
-    `conv2d`, `+` and `leaky_relu` in the same order, on a GEMM of the
-    same shape.
-    """
-    _, h, w = x.shape
-    bands = ad._bands(3, 1, h, w)
-    done = out[:len(bias)]
-    scratch = threading.local()                     # one per thread, so per running group
-
-    def band(_, p0, p1, cols):
-        if add:
-            part = getattr(scratch, "part", None)
-            if part is None:
-                part = scratch.part = np.empty((len(w2), (bands[0][1] - bands[0][0]) * w))
-            part = part[:, :p1 - p0]
-            np.matmul(w2, cols, out=part)
-            out[:, p0:p1] += part
-        else:
-            np.matmul(w2, cols, out=out[:, p0:p1])
-        o = done[:, p0:p1]
-        o += bias[:, None]
-        if activate:
-            np.maximum(o, LEAKY_SLOPE * o, out=o)
-
-    ad._run_bands(x, 3, 1, 1, w, bands, band)
 
 
 def _dense_block_rows(buf: np.ndarray, layers: list[tuple[Tensor, Tensor]],
@@ -189,7 +145,7 @@ def _dense_block_rows(buf: np.ndarray, layers: list[tuple[Tensor, Tensor]],
 
     Rows 0:C_in hold the block input, and each layer's output goes into
     the rows after its predecessor's, so `buf` ends as the concatenated
-    block output. Map j's stacked GEMM writes (map 0) or adds (later maps)
+    block output. Map j's stacked conv writes (map 0) or adds (later maps)
     its product into the rows of layers j.., in the order `dense_block`
     sums them, and layer j's band gets its bias and leaky ReLU at once.
     """
@@ -198,8 +154,8 @@ def _dense_block_rows(buf: np.ndarray, layers: list[tuple[Tensor, Tensor]],
     for j, (_, b) in enumerate(layers):
         lo, hi = edge[j], edge[j + 1]
         stacked = np.concatenate([lw.data[:, lo:hi] for lw, _ in layers[j:]])
-        _conv_rows(buf[lo:hi].reshape(hi - lo, h, w), stacked.reshape(len(stacked), -1),
-                   buf[hi:], j > 0, b.data, True)
+        ad.conv_into(buf[lo:hi].reshape(hi - lo, h, w), stacked, buf[hi:], 1, 1,
+                     b.data, True, j > 0)
 
 
 class TeacherNet(ParamModule):
@@ -232,15 +188,14 @@ class TeacherNet(ParamModule):
         self.dec2 = self._conv(rng, "dec2", 1, cb, 3)
 
     def _encode_pair(self, vis: Tensor, ir: Tensor) -> Tensor:
-        both = ad.concat([vis, ir], axis=0)
-        h = _conv_block(both, *self.enc1, padding=1)
-        return _conv_block(h, *self.enc2, padding=1, stride=2)
+        h = ad.conv2d(ad.concat([vis, ir], axis=0), *self.enc1, padding=1, leaky=True)
+        return ad.conv2d(h, *self.enc2, padding=1, stride=2, leaky=True)
 
     def _encode_patches(self, patches: list, which: str) -> Tensor:
-        w1, b1 = (self.pvis1 if which == "vis" else self.pir1)
-        w2, b2 = (self.pvis2 if which == "vis" else self.pir2)
+        c1, c2 = (self.pvis1, self.pvis2) if which == "vis" else (self.pir1, self.pir2)
         return reduce(operator.add, [
-            _conv_block(_conv_block(_image(p), w1, b1, padding=1), w2, b2, padding=1, stride=2)
+            ad.conv2d(ad.conv2d(_image(p), *c1, padding=1, leaky=True), *c2, padding=1, stride=2,
+                      leaky=True)
             for p in patches])
 
     def forward(self, vis, ir, patches_vis: list, patches_ir: list
@@ -263,8 +218,8 @@ class TeacherNet(ParamModule):
             merged, cur_vis, cur_ir = attention_stage(cur_vis, cur_ir, repo, p)
             feats.append(merged)
         up = ad.crop2d(ad.upsample_nearest2(feats[-1]), h, w)
-        out = _conv_block(up, *self.dec1, padding=1)
-        out = _conv_block(out, *self.dec2, padding=1, activate=False)
+        out = ad.conv2d(up, *self.dec1, padding=1, leaky=True)
+        out = ad.conv2d(out, *self.dec2, padding=1)
         return ad.sigmoid(out), feats
 
 
@@ -296,22 +251,23 @@ class StudentNet(ParamModule):
         vis, ir = _image(vis), _image(ir)
         if vis.shape != ir.shape:
             raise ShapeError(f"source shapes differ: {vis.shape} vs {ir.shape}")
-        cur = _conv_block(ad.concat([vis, ir], axis=0), *self.stem, padding=1)
+        cur = ad.conv2d(ad.concat([vis, ir], axis=0), *self.stem, padding=1, leaky=True)
         taps = []
         for layers, adapter, transition in zip(self.blocks, self.adapters, self.transitions):
             blocked = dense_block(cur, layers)
-            taps.append(_conv_block(blocked, *adapter, padding=0, stride=2, activate=False))
-            cur = _conv_block(blocked, *transition, padding=0)
+            taps.append(ad.conv2d(blocked, *adapter, padding=0, stride=2))
+            cur = ad.conv2d(blocked, *transition, padding=0, leaky=True)
             del blocked                            # free it before the next block runs
-        out = _conv_block(cur, *self.head, padding=1, activate=False)
+        out = ad.conv2d(cur, *self.head, padding=1)
         return ad.sigmoid(out), taps
 
     def infer(self, vis, ir) -> np.ndarray:
         """The fused (H, W) image of one pair: forward(vis, ir)[0].data[0], bit for bit.
 
-        Builds no tape and skips the adapter taps. Every 3x3 conv runs its
-        bias, leaky ReLU and dense-block sums inside its band GEMMs, and a
-        dense block runs in one buffer that its transition reads whole.
+        Builds no tape and skips the adapter taps. Every conv runs through
+        `ad.conv_into`, the kernel of `conv2d`'s forward, with its bias,
+        leaky ReLU and dense-block sums inside its band GEMMs, and a dense
+        block runs in one buffer that its transition reads whole.
         """
         vis, ir = np.asarray(vis, dtype=np.float64), np.asarray(ir, dtype=np.float64)
         if vis.shape != ir.shape:
@@ -319,21 +275,15 @@ class StudentNet(ParamModule):
         h, w = vis.shape
         sc = self.cfg.stem_channels
         buf = np.empty((sc + self.cfg.growth * self.cfg.layers_per_block, h * w))
-        stem_w, stem_b = self.stem
-        _conv_rows(np.stack([vis, ir]), stem_w.data.reshape(sc, -1), buf[:sc], False,
-                   stem_b.data, True)
+        (stem_w, stem_b), (head_w, head_b) = self.stem, self.head
+        ad.conv_into(np.stack([vis, ir]), stem_w.data, buf[:sc], 1, 1, stem_b.data, True)
         for layers, (tw, tb) in zip(self.blocks, self.transitions):
             _dense_block_rows(buf, layers, h, w)
             nxt = np.empty_like(buf)
-            cur = nxt[:sc]                          # a 1x1 conv: one GEMM, as conv2d runs it
-            np.matmul(tw.data.reshape(sc, -1), buf, out=cur)
-            cur += tb.data[:, None]
-            np.maximum(cur, LEAKY_SLOPE * cur, out=cur)
+            ad.conv_into(buf.reshape(len(buf), h, w), tw.data, nxt[:sc], 0, 1, tb.data, True)
             buf = nxt
         out = np.empty((1, h * w))
-        head_w, head_b = self.head
-        _conv_rows(buf[:sc].reshape(sc, h, w), head_w.data.reshape(1, -1), out, False,
-                   head_b.data, False)
+        ad.conv_into(buf[:sc].reshape(sc, h, w), head_w.data, out, 1, 1, head_b.data)
         return ad._sigmoid(out).reshape(h, w)
 
 

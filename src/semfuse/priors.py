@@ -172,7 +172,7 @@ class FrozenEncoder:
         feats = []
         cur = x
         for w in self.weights:
-            cur = ad.leaky_relu(ad.conv2d(cur, w, padding=1, stride=2))
+            cur = ad.conv2d(cur, w, padding=1, stride=2, leaky=True)
             feats.append(cur)
         return feats
 
@@ -190,7 +190,7 @@ class SegmentationStub:
     def forward(self, x: Tensor) -> Tensor:
         """(1, H, W) -> (C, H, W) probabilities summing to 1 over classes."""
         bump("provider")
-        h = ad.leaky_relu(ad.conv2d(x, self.w1, padding=1))
+        h = ad.conv2d(x, self.w1, padding=1, leaky=True)
         logits = ad.conv2d(h, self.w2, padding=1)
         c, hh, ww = logits.shape
         cols = ad.transpose2d(ad.reshape(logits, (c, hh * ww)))   # pixels as rows

@@ -547,6 +547,97 @@ class TestBandPool:
         assert sorted(ran) == [0, 4, 5, 6, 7]
 
 
+def conv_chain(x, w, b, padding, stride, leaky):
+    """A conv layer as separate nodes: conv2d, then + reshape(b), then leaky_relu."""
+    out = ad.conv2d(x, w, padding=padding, stride=stride)
+    out = out if b is None else out + ad.reshape(b, (b.size, 1, 1))
+    return ad.leaky_relu(out) if leaky else out
+
+
+def layer_bits(layer, leaves, coef):
+    """(output, then each leaf's gradient) of one layer, for output gradient `coef`."""
+    for t in leaves:
+        t.zero_grad()
+    out = layer()
+    ad.tsum(ad.mul(out, coef)).backward()
+    return [out.data] + [t.grad for t in leaves]
+
+
+class TestConvBiasLeaky:
+    """conv2d(x, w, b, leaky=...) is one node with the chain's bits."""
+
+    @pytest.mark.parametrize("leaky", [True, False])
+    @pytest.mark.parametrize("with_bias", [True, False])
+    @pytest.mark.parametrize("block_px", [11, 4096])          # several bands, one band
+    @pytest.mark.parametrize("k,padding,stride", [(3, 0, 1), (3, 1, 1), (3, 1, 2),
+                                                  (1, 0, 1), (1, 0, 2)])
+    @pytest.mark.parametrize("groups", [1, 2])
+    def test_bits_equal_chain(self, rng, monkeypatch, leaky, with_bias, block_px,
+                              k, padding, stride, groups):
+        monkeypatch.setattr(ad, "BLOCK_PX", block_px)
+        monkeypatch.setattr(ad, "_WORKERS", groups)
+        x = ad.Tensor(rng.normal(size=(3, 9, 11)), requires_grad=True)
+        # rows of zero weights and zero bias (either sign) give exact-zero
+        # pre-activations, the mask's edge; the GEMM sums from +0.0, so
+        # they come out +0.0
+        w_data, b_data = rng.normal(size=(5, 3, k, k)), rng.normal(size=5)
+        w_data[1], w_data[3], b_data[1], b_data[3] = 0.0, -0.0, 0.0, -0.0
+        w = ad.Tensor(w_data, requires_grad=True)
+        b = ad.Tensor(b_data, requires_grad=True) if with_bias else None
+        leaves = [x, w] + ([b] if with_bias else [])
+        pre = conv_chain(x, w, b, padding, stride, False).data
+        assert (pre == 0).any() and (pre < 0).any() and (pre > 0).any()
+        coef = rng.normal(size=pre.shape)
+        want = layer_bits(lambda: conv_chain(x, w, b, padding, stride, leaky), leaves, coef)
+        got = layer_bits(lambda: ad.conv2d(x, w, b, padding=padding, stride=stride,
+                                           leaky=leaky), leaves, coef)
+        assert len(got) == len(want) == len(leaves) + 1
+        for a, ref in zip(got, want):
+            assert np.array_equal(a, ref) and a.tobytes() == ref.tobytes()
+
+    def test_only_the_bias_trainable(self, rng):
+        x = ad.Tensor(rng.normal(size=(2, 6, 7)))
+        w = ad.Tensor(rng.normal(size=(4, 2, 3, 3)))
+        b = ad.Tensor(rng.normal(size=4), requires_grad=True)
+        coef = rng.normal(size=(4, 6, 7))
+        want = layer_bits(lambda: conv_chain(x, w, b, 1, 1, True), [b], coef)
+        got = layer_bits(lambda: ad.conv2d(x, w, b, padding=1, leaky=True), [b], coef)
+        assert ad.conv2d(x, w, b, padding=1, leaky=True)._parents == (b,)
+        for a, ref in zip(got, want):
+            assert a.tobytes() == ref.tobytes()
+
+    def test_gradients_vs_fd(self, rng):
+        x = ad.Tensor(rng.normal(size=(2, 5, 5)), requires_grad=True)
+        w = ad.Tensor(rng.normal(size=(3, 2, 3, 3)) * 0.5, requires_grad=True)
+        b = ad.Tensor(rng.normal(size=3), requires_grad=True)
+
+        def build():
+            return ad.tsum(ad.square(ad.conv2d(x, w, b, padding=1, stride=2, leaky=True)))
+
+        res = check_scalar_fn("conv2d_bias_leaky", build, {"x": x, "w": w, "b": b}, h=1e-5)
+        assert res.passed, res.per_tensor
+
+    def test_trainable_layer_keeps_one_output(self, rng):
+        # the node keeps its output, which the mask reads; a chain of conv,
+        # + b and leaky_relu keeps three maps of the output's size
+        x = ad.Tensor(rng.normal(size=(16, 64, 64)))
+        w = ad.Tensor(rng.normal(size=(16, 16, 3, 3)), requires_grad=True)
+        b = ad.Tensor(rng.normal(size=16), requires_grad=True)
+        tracemalloc.start()
+        try:
+            out = ad.conv2d(x, w, b, padding=1, leaky=True)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out._parents == (w, b)
+        assert kept <= 1.5 * out.data.nbytes, f"{kept / out.data.nbytes:.2f}x the output"
+
+    def test_rejects_a_bias_of_the_wrong_size(self):
+        with pytest.raises(ShapeError, match="bias"):
+            ad.conv2d(ad.Tensor(np.ones((1, 4, 4))), ad.Tensor(np.ones((2, 1, 3, 3))),
+                      ad.Tensor(np.ones(3)))
+
+
 # --------------------------------------------------------------------------
 # softmax
 
