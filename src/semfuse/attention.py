@@ -139,30 +139,38 @@ def _attend(q: Tensor, k: Tensor, v: Tensor, head_dim: int,
 
     Rows [i*head_dim, (i+1)*head_dim) of the (d, T_q) output are head i's
     V_h P_h^T, with P_h = softmax(Q_h^T K_h / sqrt(head_dim)) over rows.
-    Only each head's P is kept for the backward, which forms the score
-    gradient once per head for both dQ and dK and skips every input that
-    was constant when the node was recorded.
+    Each head's P is freed before the next head runs: the node keeps only
+    its row max and row sum (T_q floats each), and the backward rebuilds P
+    from the same GEMM, scale and stats, so with the same bits. The
+    backward forms the score gradient once per head for both dQ and dK and
+    skips every input that was constant when the node was recorded.
     """
     scale = 1.0 / np.sqrt(head_dim)
     heads = range(0, q.data.shape[0], head_dim)
     out = np.empty((v.data.shape[0], q.data.shape[1]))
-    weights = []
-    for lo in heads:
-        hi = lo + head_dim
-        s = q.data[lo:hi].T @ k.data[lo:hi]
+
+    def weights(lo: int, stats=None):
+        s = q.data[lo:lo + head_dim].T @ k.data[lo:lo + head_dim]
         s *= scale
-        out[lo:hi] = v.data[lo:hi] @ ad._softmax_(s).T
-        weights.append(s)
-    if weights_sink is not None:
-        weights_sink.extend(ad._node(w) for w in weights)
+        return ad._softmax_(s, stats)
+
+    stats = []
+    for lo in heads:
+        w, st = weights(lo)
+        out[lo:lo + head_dim] = v.data[lo:lo + head_dim] @ w.T
+        stats.append(st)
+        if weights_sink is not None:
+            weights_sink.append(ad._node(w))
+        del w
 
     # read when the node records, as `_from_op` reads them to keep edges
     needed = [t.requires_grad for t in (q, k, v)]
 
     def grads(g):
         dq, dk, dv = (np.empty_like(t.data) if n else None for t, n in zip((q, k, v), needed))
-        for lo, w in zip(heads, weights):
+        for lo, st in zip(heads, stats):
             hi = lo + head_dim
+            w, _ = weights(lo, st)
             if dv is not None:
                 dv[lo:hi] = g[lo:hi] @ w
             if dq is None and dk is None:

@@ -369,11 +369,15 @@ def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
 
 
 def index(a, key: tuple[slice, ...]) -> Tensor:
-    """The window a[key], copied; `key` is a tuple of slices."""
+    """The window a[key] as a view of a's data; `key` is a tuple of slices.
+
+    Sharing memory is safe because no op writes into its input's data and
+    Adam updates the leaves in place only after `backward` has run.
+    """
     a = _as_tensor(a)
     if not isinstance(key, tuple) or not all(isinstance(s, slice) for s in key):
         raise ContractError(f"index needs a tuple of slices, got {key!r}")
-    out = a.data[key].copy()
+    out = a.data[key]
 
     def rule(g):
         full = np.zeros_like(a.data)
@@ -445,12 +449,21 @@ def matmul(a, b) -> Tensor:
                     (b, lambda g: a.data.T @ g))
 
 
-def _softmax_(s: Array) -> Array:
-    """Row softmax of 2-d `s` in place, with max-shifted exponents; returns `s`."""
-    s -= s.max(axis=1, keepdims=True)
+def _softmax_(s: Array, stats: tuple[Array, Array] | None = None
+              ) -> tuple[Array, tuple[Array, Array]]:
+    """Row softmax of 2-d `s` in place, with max-shifted exponents.
+
+    Returns `s` and its stats, the (T, 1) row max and row sum of the
+    exponents. Given the stats of an earlier call on logits with the same
+    bits, it skips both reductions and gives that call's bits again.
+    """
+    top, total = stats if stats is not None else (s.max(axis=1, keepdims=True), None)
+    s -= top
     np.exp(s, out=s)
-    s /= s.sum(axis=1, keepdims=True)
-    return s
+    if total is None:
+        total = s.sum(axis=1, keepdims=True)
+    s /= total
+    return s, (top, total)
 
 
 def _softmax_grad_(g: Array, p: Array) -> Array:
@@ -465,7 +478,7 @@ def softmax_rows(a) -> Tensor:
     a = _as_tensor(a)
     if a.data.ndim != 2:
         raise ShapeError(f"softmax_rows needs a 2-d tensor, got shape {a.data.shape}")
-    out = _softmax_(a.data.copy())
+    out, _ = _softmax_(a.data.copy())
     # g may be shared with other edges, so work on a copy
     return _from_op(out, (a, lambda g: _softmax_grad_(g.copy(), out)))
 

@@ -1,5 +1,6 @@
 """Repository construction and cross-attention invariants."""
 import operator
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -321,6 +322,98 @@ class TestFusedHeads:
             results.append([q.grad, k.grad, v.grad])
         for ref, got in zip(*results):
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+
+
+def stored_weights_attend(q, k, v, head_dim, weights_sink):
+    """The fused node as it was when it kept every head's P for the backward:
+    the reference for the node that keeps only each head's row max and sum."""
+    scale = 1.0 / np.sqrt(head_dim)
+    heads = range(0, q.data.shape[0], head_dim)
+    out = np.empty((v.data.shape[0], q.data.shape[1]))
+    weights = []
+    for lo in heads:
+        hi = lo + head_dim
+        s = q.data[lo:hi].T @ k.data[lo:hi]
+        s *= scale
+        s -= s.max(axis=1, keepdims=True)
+        np.exp(s, out=s)
+        s /= s.sum(axis=1, keepdims=True)
+        out[lo:hi] = v.data[lo:hi] @ s.T
+        weights.append(s)
+    if weights_sink is not None:
+        weights_sink.extend(ad._node(w) for w in weights)
+    needed = [t.requires_grad for t in (q, k, v)]
+
+    def grads(g):
+        dq, dk, dv = (np.empty_like(t.data) if n else None for t, n in zip((q, k, v), needed))
+        for lo, w in zip(heads, weights):
+            hi = lo + head_dim
+            if dv is not None:
+                dv[lo:hi] = g[lo:hi] @ w
+            if dq is None and dk is None:
+                continue
+            ds = g[lo:hi].T @ v.data[lo:hi]
+            ds -= (ds * w).sum(axis=1, keepdims=True)
+            ds *= w
+            ds *= scale
+            if dq is not None:
+                dq[lo:hi] = (ds @ k.data[lo:hi].T).T
+            if dk is not None:
+                dk[lo:hi] = q.data[lo:hi] @ ds
+        return tuple(d for d in (dq, dk, dv) if d is not None)
+
+    return ad._node(out, tuple(t for t, n in zip((q, k, v), needed) if n), grads)
+
+
+class TestRecomputedWeights:
+    """The node rebuilds each head's P in the backward from the row max and
+    sum it kept, with the bits of the node that stored P."""
+
+    D, HEAD_DIM = 32, 8                 # the teacher's token and head widths
+
+    def leaves(self, seed, t_q, t_k, wants=(True, True, True)):
+        rng = np.random.default_rng(seed)
+        return [Tensor(rng.normal(size=(self.D, t)), requires_grad=w)
+                for t, w in zip((t_q, t_k, t_k), wants)]
+
+    def run(self, op, seed, t_q, t_k, wants):
+        q, k, v = self.leaves(seed, t_q, t_k, wants)
+        sink = []
+        out = op(q, k, v, self.HEAD_DIM, sink)
+        read = Tensor(np.random.default_rng(seed + 1).normal(size=out.shape))
+        ad.backward(ad.tsum(ad.mul(out, read)))
+        return [out.data] + [w.data for w in sink] + [t.grad for t in (q, k, v)]
+
+    @pytest.mark.parametrize("t_q, t_k", [(64, 64), (256, 256), (576, 576), (96, 40), (40, 200)])
+    @pytest.mark.parametrize("wants", [(a, b, c) for a in (False, True)
+                                       for b in (False, True) for c in (False, True)])
+    def test_bits_equal_the_stored_weights_node(self, t_q, t_k, wants):
+        ref = self.run(stored_weights_attend, 91, t_q, t_k, wants)
+        got = self.run(attention._attend, 91, t_q, t_k, wants)
+        assert len(got) == len(ref) == 1 + self.D // self.HEAD_DIM + 3
+        for r, g in zip(ref, got):
+            assert (r is None and g is None) or np.array_equal(g, r)
+
+    def kept_bytes(self, op, q, k, v):
+        """Bytes that a recorded node keeps beyond q, k, v and its output."""
+        tracemalloc.start()
+        try:
+            out = op(q, k, v, self.HEAD_DIM, None)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        return kept - out.data.nbytes
+
+    @pytest.mark.parametrize("t_q, t_k", [(64, 64), (576, 576), (40, 576)])
+    def test_node_keeps_o_of_heads_times_t_q(self, t_q, t_k):
+        q, k, v = self.leaves(93, t_q, t_k)
+        heads = self.D // self.HEAD_DIM
+        # a row max and a row sum per head, and a few KiB of Python objects
+        bound = 2 * heads * t_q * 8 + 16 * 1024
+        assert self.kept_bytes(attention._attend, q, k, v) <= bound
+        # the node that kept each head's P breaks it: 10.6 MB at T = 576
+        assert self.kept_bytes(stored_weights_attend, q, k, v) >= heads * t_q * t_k * 8 > bound
 
 
 class TestFusedNodeEdges:

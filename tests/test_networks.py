@@ -18,6 +18,7 @@ from semfuse.gradcheck import build_suite, check_scalar_fn, jitter
 from semfuse.networks import (StudentConfig, StudentNet, TeacherConfig,
                               TeacherNet, dense_block, load_checkpoint,
                               param_count, save_checkpoint)
+from semfuse.priors import PriorProvider, make_patches
 
 RNG = np.random.default_rng(99)
 
@@ -241,21 +242,35 @@ class TestStudentInference:
 
 
 class TestTrainingTapeMemory:
-    def test_trainable_student_tape_is_bounded_per_pixel(self):
-        # what a trainable forward leaves alive for its backward: no conv
-        # keeps its columns, 2,451 float64 per pixel measured at 48^2
-        side = 48
-        vis, ir = synth_pair(0, side, side)
-        net = StudentNet()
+    SIDE = 48
+
+    def kept_per_pixel(self, net, *args):
+        """float64 per pixel that a trainable forward leaves alive for its backward."""
         tracemalloc.start()
         try:
-            out = net.forward(vis, ir)
+            out = net.forward(*args)
             kept, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert out[0].requires_grad
-        per_pixel = kept / (side * side * 8)
-        assert per_pixel <= 3000, f"{per_pixel:.0f} float64 per pixel"
+        return kept / (self.SIDE * self.SIDE * 8)
+
+    def test_trainable_student_tape_is_bounded_per_pixel(self):
+        # no conv keeps its columns and each dense-block piece is a view of
+        # its map's stacked response: 1,646 float64 per pixel measured at 48^2
+        per_pixel = self.kept_per_pixel(StudentNet(), *synth_pair(0, self.SIDE, self.SIDE))
+        assert per_pixel <= 2000, f"{per_pixel:.0f} float64 per pixel"
+
+    def test_trainable_teacher_tape_is_bounded_per_pixel(self):
+        # no attention node keeps its heads' T^2 weights: 646 float64 per
+        # pixel measured at 48^2 with the provider's 4 + 2 patches, against
+        # 4,122 while each node kept them
+        vis, ir = synth_pair(0, self.SIDE, self.SIDE)
+        provider = PriorProvider()
+        patches = [make_patches(img, provider.masks_for(img, m))
+                   for img, m in ((vis, "vis"), (ir, "ir"))]
+        per_pixel = self.kept_per_pixel(TeacherNet(), vis, ir, *patches)
+        assert per_pixel <= 1000, f"{per_pixel:.0f} float64 per pixel"
 
 
 class TestParamCount:
