@@ -10,6 +10,7 @@ are verified against central finite differences in the test suite.
 from __future__ import annotations
 
 import ctypes
+import functools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -145,16 +146,23 @@ def trace(root: Tensor) -> list[Tensor]:
     return order
 
 
+# Per thread: the `sink` of `grad_sink`, and whether it is a `dispatch` worker.
+_LOCAL = threading.local()
+
+
 def backward(root: Tensor, grad: Array | None = None) -> None:
     """Accumulate d(root)/d(node) into `.grad` for every requires_grad leaf.
 
     `root` must be a single element. Repeated calls keep adding into the
     same buffers; call ``zero_grad`` on the leaves to reset between steps.
+    Inside ``grad_sink`` on this thread, each leaf's gradient goes to the
+    sink instead.
     """
     if root.data.size != 1:
         raise ContractError(f"backward needs a scalar root, got shape {root.data.shape}")
     if not root.requires_grad:
         return
+    sink = getattr(_LOCAL, "sink", None)
     seed = np.ones_like(root.data) if grad is None else np.asarray(grad, dtype=np.float64)
     flow: dict[int, Array] = {id(root): seed}
     for node in reversed(trace(root)):
@@ -162,12 +170,41 @@ def backward(root: Tensor, grad: Array | None = None) -> None:
         if g is None:
             continue
         if node._backward is None:
-            node.grad = g.copy() if node.grad is None else node.grad + g
+            if sink is None:
+                _accumulate(node, g)
+            else:
+                sink.append((node, g))
             continue
         for parent, pg in zip(node._parents, node._backward(g)):
             held = flow.get(id(parent))
             flow[id(parent)] = pg if held is None else held + pg
     # Anything left in `flow` is unreachable from the leaves; nothing to do.
+
+
+def _accumulate(leaf: Tensor, g: Array) -> None:
+    leaf.grad = g.copy() if leaf.grad is None else leaf.grad + g
+
+
+@contextmanager
+def grad_sink():
+    """Inside the block, ``backward`` on this thread appends (leaf, gradient)
+    to the yielded list instead of adding into `.grad`.
+
+    ``apply_sink`` adds them later, in the order ``backward`` met them. So
+    sinks filled on several threads and applied one after another in a
+    fixed order give the bits of those ``backward`` calls run in that order.
+    """
+    saved, _LOCAL.sink = getattr(_LOCAL, "sink", None), []
+    try:
+        yield _LOCAL.sink
+    finally:
+        _LOCAL.sink = saved
+
+
+def apply_sink(sink: list) -> None:
+    """Add the gradients of a ``grad_sink`` into their leaves' `.grad`, in order."""
+    for leaf, g in sink:
+        _accumulate(leaf, g)
 
 
 @contextmanager
@@ -296,17 +333,17 @@ def sigmoid(a) -> Tensor:
     return _from_op(out, (a, lambda g: g * out * (1.0 - out)))
 
 
-# The one leaky-ReLU slope: of `leaky_relu` by default and of `conv2d(leaky=True)`.
+# The one leaky-ReLU slope: of `leaky_relu`, `conv2d(leaky=True)` and the
+# student's dense block. It lies in (0, 1], so max(a, LEAKY_SLOPE * a) is a
+# where a >= 0, else LEAKY_SLOPE * a.
 LEAKY_SLOPE = 0.2
 
 
-def leaky_relu(a, slope: float = LEAKY_SLOPE) -> Tensor:
-    """max(a, slope * a), which for 0 <= slope <= 1 is a where a >= 0, else slope * a."""
-    if not 0.0 <= slope <= 1.0:
-        raise ContractError(f"leaky_relu slope must lie in [0, 1], got {slope}")
+def leaky_relu(a) -> Tensor:
+    """max(a, LEAKY_SLOPE * a); the gradient is scaled by LEAKY_SLOPE where a < 0."""
     a = _as_tensor(a)
-    return _from_op(np.maximum(a.data, slope * a.data),
-                    (a, lambda g: g * np.where(a.data >= 0, 1.0, slope)))
+    return _from_op(np.maximum(a.data, LEAKY_SLOPE * a.data),
+                    (a, lambda g: g * np.where(a.data >= 0, 1.0, LEAKY_SLOPE)))
 
 
 # ---------------------------------------------------------------------------
@@ -510,19 +547,74 @@ def _blas_threads() -> int | None:
     return None
 
 
-# Band groups per conv: one per core this process may run on, but only
+# Workers of `dispatch`: one per core this process may run on, but only
 # where BLAS is seen to run one thread; a GEMM that already runs on every
-# core would share them with the other groups' GEMMs. The count is read
+# core would share them with the other workers' GEMMs. The count is read
 # once, at import.
 _WORKERS = ((len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1) if _blas_threads() == 1 else 1)
-# At most this many groups, whatever the cores: each group holds its own
-# column buffer and padded rows, so the peak grows with the groups. A
-# frozen student at 128^2 (four bands per 3x3 conv) peaks at 275 float64
-# per pixel with two groups and 436 with four; its test allows 280.
+# At most this many workers, whatever the cores: each conv band group holds
+# its own column buffer and padded rows, and each training pair its own
+# graph, so the peak grows with the workers. A frozen student at 128^2
+# (four bands per 3x3 conv) peaks at 279 float64 per pixel with two groups
+# and 440 with four; its test allows 280.
 MAX_GROUPS = 2
-# Starts no thread until the first conv that runs more than one group.
-_POOL = ThreadPoolExecutor(MAX_GROUPS, thread_name_prefix="semfuse-band")
+# The caller of a dispatch is one of its workers, so the pool holds the
+# others. It starts no thread until the first dispatch of more than one task.
+_POOL = ThreadPoolExecutor(MAX_GROUPS - 1, thread_name_prefix="semfuse-band")
+
+
+def workers() -> int:
+    """Tasks `dispatch` runs at once: min(_WORKERS, MAX_GROUPS), or 1 on its own workers."""
+    return 1 if getattr(_LOCAL, "worker", False) else min(_WORKERS, MAX_GROUPS)
+
+
+def dispatch(tasks: list[Callable[[], object]]) -> list:
+    """Run every task, a callable taking no arguments; their results in task order.
+
+    With one task or one worker (see `workers`), the tasks run on this
+    thread, in order, and the first exception stops the rest, as in a
+    loop. Otherwise this thread and workers() - 1 pool threads take the
+    tasks in order, each running under the caller's `np.errstate` (a pool
+    thread starts at numpy's default). Once every task has finished, the
+    exception of the first failing task, in task order, is raised. A task
+    that dispatches runs its own tasks inline, so no task waits on the pool
+    it runs on and at most MAX_GROUPS threads work. The caller works rather
+    than waits: one fewer thread allocates, which kept 8 MB of malloc arena
+    off the peak RSS of a training step with two pairs in flight.
+    """
+    n = min(workers(), len(tasks))
+    if n < 2:
+        return [task() for task in tasks]
+    err, call = np.geterr(), np.geterrcall()
+    results, errors = [None] * len(tasks), [None] * len(tasks)
+    pending, lock = iter(range(len(tasks))), threading.Lock()
+
+    def work():
+        was, _LOCAL.worker = getattr(_LOCAL, "worker", False), True
+        try:
+            with np.errstate(call=call, **err):
+                while True:
+                    with lock:
+                        i = next(pending, None)
+                    if i is None:
+                        return
+                    try:
+                        results[i] = tasks[i]()
+                    except Exception as exc:        # raised below, in task order
+                        errors[i] = exc
+        finally:
+            _LOCAL.worker = was
+
+    helpers = [_POOL.submit(work) for _ in range(n - 1)]
+    work()
+    wait(helpers)
+    for helper in helpers:
+        helper.result()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
 
 
 def _bands(k: int, stride: int, ho: int, wo: int) -> list[tuple[int, int]]:
@@ -562,13 +654,12 @@ def _run_bands(x: Array, k: int, padding: int, stride: int, wo: int,
     zero-padded by `padding`. It is valid only during the call; a 1x1
     stride-1 conv's columns are a view of `x` when unpadded.
 
-    The bands are split into min(_WORKERS, MAX_GROUPS) contiguous groups.
-    The calling thread allocates each group's buffers, one for its band's
-    padded input rows and one for its columns, and runs a lone group
-    itself. More groups run on the band pool, each under the caller's
-    `np.errstate`; gemm calls of different groups then overlap, so each
-    writes only its band's part of any shared array. An exception from a
-    band reaches the caller as itself, after every group has finished.
+    The bands are split into min(workers(), len(bands)) contiguous groups,
+    one `dispatch` task each. The calling thread allocates each group's
+    buffers, one for its band's padded input rows and one for its columns.
+    Groups on different workers overlap their gemm calls, so each writes
+    only its band's part of any shared array. An exception from a band
+    reaches the caller as itself, after every group has finished.
     """
     c, _, wd = x.shape
     rows = bands[0][1] - bands[0][0]
@@ -588,26 +679,14 @@ def _run_bands(x: Array, k: int, padding: int, stride: int, wo: int,
                 cols.reshape(c, k, k, i1 - i0, wo)[...] = win
             gemm(b, i0 * wo, i1 * wo, cols)
 
-    numbered, n_groups = list(enumerate(bands)), min(_WORKERS, MAX_GROUPS, len(bands))
+    numbered, n_groups = list(enumerate(bands)), min(workers(), len(bands))
     tasks = []
     for g in range(n_groups):
         group = numbered[len(bands) * g // n_groups:len(bands) * (g + 1) // n_groups]
         pad = np.empty((c, stride * (rows - 1) + k, wd + 2 * padding)) if padding else None
         buf = None if k == 1 and stride == 1 else np.empty((c * k * k, rows * wo))
-        tasks.append((group, pad, buf))
-    if n_groups == 1:
-        run_group(*tasks[0])
-        return
-    err, call = np.geterr(), np.geterrcall()
-
-    def run_pooled(task):
-        with np.errstate(call=call, **err):         # a pool thread starts at numpy's default
-            run_group(*task)
-
-    futures = [_POOL.submit(run_pooled, task) for task in tasks]
-    wait(futures)
-    for future in futures:
-        future.result()
+        tasks.append(functools.partial(run_group, group, pad, buf))
+    dispatch(tasks)
 
 
 def _col2im(gcols: Array, c: int, hp: int, wp: int, k: int, stride: int,
@@ -620,8 +699,13 @@ def _col2im(gcols: Array, c: int, hp: int, wp: int, k: int, stride: int,
     return gx
 
 
+def _out_side(n: int, k: int, padding: int, stride: int) -> int:
+    return (n + 2 * padding - k) // stride + 1
+
+
 def conv_into(x: Array, w: Array, out: Array, padding: int, stride: int,
-              bias: Array | None = None, leaky: bool = False, add: bool = False) -> None:
+              bias: Array | None = None, leaky: bool = False, add: bool = False,
+              mask: Array | None = None) -> None:
     """The conv of the map `x` (C_in, H, W) by `w` (C_out, C_in, k, k) into
     `out` (C_out, H_out*W_out), without a tape, on the band workers.
 
@@ -629,10 +713,12 @@ def conv_into(x: Array, w: Array, out: Array, padding: int, stride: int,
     or if `add` adds it through one scratch per band group. Then, in
     place, the band's first len(bias) rows (all rows if `bias` is None)
     get the bias and, if `leaky`, max(o, LEAKY_SLOPE*o). So each element
-    sees a conv, `+` and `leaky_relu` in that order.
+    sees a conv, `+` and `leaky_relu` in that order. A bool `mask` of
+    those rows receives o >= 0 just before the leaky ReLU: the sign that
+    `leaky_relu`'s rule reads.
     """
     cout, _, k, _ = w.shape
-    ho, wo = ((n + 2 * padding - k) // stride + 1 for n in x.shape[1:])
+    ho, wo = (_out_side(n, k, padding, stride) for n in x.shape[1:])
     bands = _bands(k, stride, ho, wo)
     w2 = w.reshape(cout, -1)
     done = out if bias is None else out[:len(bias)]
@@ -648,20 +734,62 @@ def conv_into(x: Array, w: Array, out: Array, padding: int, stride: int,
         o = done[:, p0:p1]
         if bias is not None:
             o += bias[:, None]
+        if mask is not None:
+            np.greater_equal(o, 0, out=mask[:, p0:p1])
         if leaky:
-            np.maximum(o, LEAKY_SLOPE * o, out=o)
+            # row by row: a band-sized LEAKY_SLOPE * o on each worker would
+            # add 4 float64 per pixel to the frozen 128^2 student's peak
+            for row in o:
+                np.maximum(row, LEAKY_SLOPE * row, out=row)
 
     _run_bands(x, k, padding, stride, wo, bands, band)
 
 
-def conv2d(x, w, b=None, padding: int = 0, stride: int = 1, leaky: bool = False) -> Tensor:
+def conv_input_grad(g: Array, w: Array, x_shape: tuple[int, int, int], padding: int,
+                    stride: int) -> Array:
+    """conv2d's input rule: the gradient at its input, of shape `x_shape`,
+    of a conv by `w` whose output has the gradient `g` (C_out, H_out*W_out
+    or (C_out, H_out, W_out))."""
+    cout, cin, k, _ = w.shape
+    _, h, wd = x_shape
+    ho, wo = _out_side(h, k, padding, stride), _out_side(wd, k, padding, stride)
+    gxp = _col2im(w.reshape(cout, -1).T @ g.reshape(cout, ho * wo), cin,
+                  h + 2 * padding, wd + 2 * padding, k, stride, ho, wo)
+    return gxp[:, padding:padding + h, padding:padding + wd] if padding else gxp
+
+
+def conv_weight_grad(g: Array, x: Array, k: int, padding: int, stride: int) -> Array:
+    """conv2d's weight rule: the (C_out, C_in, k, k) kernel gradient of a
+    conv of the map `x` whose output has the gradient `g`.
+
+    It keeps no columns: it builds the bands again, writes each band's
+    GEMM into its own part and sums the parts in band order.
+    """
+    cout, cin = g.shape[0], x.shape[0]
+    ho, wo = (_out_side(n, k, padding, stride) for n in x.shape[1:])
+    bands = _bands(k, stride, ho, wo)
+    g2 = g.reshape(cout, ho * wo)
+    parts = np.empty((len(bands), cout, cin * k * k))
+
+    def weight_band(i, p0, p1, cols):
+        np.matmul(g2[:, p0:p1], cols.T, out=parts[i])
+
+    _run_bands(x, k, padding, stride, wo, bands, weight_band)
+    gw = parts[0]
+    for part in parts[1:]:
+        gw += part          # in band order; a zero start would turn -0.0 into 0.0
+    return gw.reshape(cout, cin, k, k)
+
+
+def conv2d(x, w, b=None, padding: int = 0, stride: int = 1, leaky: bool = False,
+           out: Array | None = None) -> Tensor:
     """2-d cross-correlation of (C_in, H, W) with (C_out, C_in, k, k), plus
     the bias `b` (C_out,) if given, then the leaky ReLU if `leaky`: one node.
 
     Zero padding; output side is (H + 2*padding - k) // stride + 1. The
-    kernel must be square with odd side. The forward is `conv_into`. The
-    weight rule keeps no columns: it builds the bands again, writes each
-    band's GEMM into its own part and sums the parts in band order. So a
+    kernel must be square with odd side. The forward is `conv_into`, into
+    `out` (C_out, H_out*W_out) if given, which the output's data then
+    views. The rules are `conv_input_grad` and `conv_weight_grad`. So a
     conv over more than BLOCK_PX output pixels may differ from a one-GEMM
     conv in the last ulp, in its output and its weight gradient, but not
     with the number of workers that ran its bands.
@@ -680,39 +808,25 @@ def conv2d(x, w, b=None, padding: int = 0, stride: int = 1, leaky: bool = False)
         raise ShapeError(f"conv2d bias {b.data.shape} does not match kernel {w.data.shape}")
     if padding < 0 or stride < 1:
         raise ContractError(f"conv2d invalid padding={padding} stride={stride}")
-    ho, wo = ((n + 2 * padding - k) // stride + 1 for n in (h, wd))
+    ho, wo = _out_side(h, k, padding, stride), _out_side(wd, k, padding, stride)
     if ho < 1 or wo < 1:
         raise ShapeError(f"conv2d output would be empty for input {x.data.shape}, "
                          f"kernel {w.data.shape}, padding {padding}, stride {stride}")
-
-    out = np.empty((cout, ho, wo))
-    conv_into(x.data, w.data, out.reshape(cout, -1), padding, stride,
-              None if b is None else b.data, leaky)
-    bands = _bands(k, stride, ho, wo)
-
-    def input_rule(g):
-        gxp = _col2im(w.data.reshape(cout, -1).T @ g.reshape(cout, ho * wo), cin,
-                      h + 2 * padding, wd + 2 * padding, k, stride, ho, wo)
-        return gxp[:, padding:padding + h, padding:padding + wd] if padding else gxp
-
-    def weight_rule(g):
-        g2 = g.reshape(cout, ho * wo)
-        parts = np.empty((len(bands), cout, cin * k * k))
-
-        def weight_band(i, p0, p1, cols):
-            np.matmul(g2[:, p0:p1], cols.T, out=parts[i])
-
-        _run_bands(x.data, k, padding, stride, wo, bands, weight_band)
-        gw = parts[0]
-        for part in parts[1:]:
-            gw += part          # in band order; a zero start would turn -0.0 into 0.0
-        return gw.reshape(w.data.shape)
+    if out is None:
+        out = np.empty((cout, ho * wo))
+    elif out.shape != (cout, ho * wo):
+        raise ShapeError(f"conv2d out {out.shape} does not hold its ({cout}, {ho * wo}) output")
+    conv_into(x.data, w.data, out, padding, stride, None if b is None else b.data, leaky)
+    out = out.reshape(cout, ho, wo)
 
     # The mask reads the output's sign, which is the pre-activation's only
     # because LEAKY_SLOPE > 0: with slope 0, -0.0 outputs would hide negative
     # inputs (here only the two smallest negative subnormals round to -0.0).
     bias_edge = [] if b is None else [(b, lambda g: g.sum(axis=(1, 2)))]
-    return _from_op(out, (x, input_rule), (w, weight_rule), *bias_edge,
+    return _from_op(out,
+                    (x, lambda g: conv_input_grad(g, w.data, x.data.shape, padding, stride)),
+                    (w, lambda g: conv_weight_grad(g, x.data, k, padding, stride)),
+                    *bias_edge,
                     pre=(lambda g: g * np.where(out >= 0, 1.0, LEAKY_SLOPE)) if leaky else None)
 
 

@@ -108,46 +108,91 @@ def _image(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x)[None])
 
 
-def dense_block(x: Tensor, layer_params: list[tuple[Tensor, Tensor]]) -> Tensor:
-    """Densely connected conv layers: each consumes every prior feature map.
+def dense_block(x: Tensor, layer_params: list[tuple[Tensor, Tensor]],
+                buf: np.ndarray | None = None) -> Tensor:
+    """Densely connected conv layers, each consuming every prior feature map: one node.
 
-    Input-stationary: once a map is ready (the block input or a layer's
-    output), one conv applies the input-channel slices of every later
-    layer's kernel that read it, stacked along the output axis, and each of
-    those layers adds its rows of the result to its sum. So every map is
-    convolved once, and only the block output is concatenated. Output
-    channels = input channels + the layers' output channels.
+    The forward is `_dense_block_rows` over `buf` (C_in + growth * L, H*W),
+    whose first C_in rows hold x's data: the conv that made x wrote them
+    there (`conv2d(out=)`), or, if `buf` is None, x is copied into a new
+    buffer. The node's output views `buf`: the block input, then each
+    layer's output. It keeps `buf` and, unless nothing it reads needs a
+    gradient, a bool mask per layer of its pre-activation's sign, which is
+    what `leaky_relu` reads.
+
+    The backward walks the maps from last to first. Map m's gradient is its
+    rows of the output gradient plus conv2d's input rule on the stacked
+    pre-activation gradients of layers m.., the layers that read it, and
+    their stacked kernel slices. The weight rule on the same stack gives
+    those slices' gradients. Layer m-1's pre-activation gradient is map m's,
+    times LEAKY_SLOPE where its mask is false. These are the operations, on
+    the same operands, of a tape of per-map convs, index windows, sums and
+    `leaky_relu`, so the gradients have its bits.
     """
-    widths = [x.shape[0]] + [w.shape[0] for w, _ in layer_params]
-    for j, (w, _) in enumerate(layer_params):
-        if w.shape[1] != sum(widths[:j + 1]):
-            raise ShapeError(f"dense layer {j} kernel {w.shape} does not read {widths[:j + 1]}")
-    feats, sums = [x], {}
-    for j, (_, b) in enumerate(layer_params):
-        lo = sum(widths[:j])
-        later = [w for w, _ in layer_params[j:]]
-        window = (slice(None), slice(lo, lo + widths[j]))
-        stacked = ad.concat([ad.index(w, window) for w in later], axis=0)
-        resp = ad.conv2d(feats[j], stacked, padding=1)
-        row = 0
-        for i, w in enumerate(later, start=j):
-            piece = ad.index(resp, (slice(row, row + w.shape[0]),))
-            sums[i] = sums[i] + piece if i in sums else piece
-            row += w.shape[0]
-        del resp, piece                 # free them before the next map's conv
-        feats.append(ad.leaky_relu(sums.pop(j) + ad.reshape(b, (b.size, 1, 1)), ad.LEAKY_SLOPE))
-    return ad.concat(feats, axis=0)
+    c0, h, w = x.shape
+    widths = [c0] + [lw.shape[0] for lw, _ in layer_params]
+    for j, (lw, _) in enumerate(layer_params):
+        if lw.shape[1] != sum(widths[:j + 1]):
+            raise ShapeError(f"dense layer {j} kernel {lw.shape} does not read {widths[:j + 1]}")
+    start = np.cumsum([0] + widths)                 # map m: rows start[m]:start[m+1]
+    if buf is None:
+        buf = np.empty((start[-1], h * w))
+        buf[:c0] = x.data.reshape(c0, -1)
+    elif buf.shape != (start[-1], h * w) or buf.ctypes.data != x.data.ctypes.data:
+        raise ContractError(f"dense block buffer {buf.shape} does not begin with its input")
+    leaves = [x] + [t for pair in layer_params for t in pair]
+    needed = [t.requires_grad for t in leaves]      # read when the node records
+    mask = np.empty((start[-1] - c0, h * w), dtype=bool) if any(needed) else None
+    _dense_block_rows(buf, layer_params, h, w, mask)
+    out = buf.reshape(-1, h, w)
+    if mask is None:
+        return ad._node(out)
+    mask = mask.reshape(-1, h, w)
+
+    def grads(g):
+        n_layers = len(layer_params)
+        pre = np.empty_like(mask, dtype=np.float64)  # layer l: rows start[l+1]-c0:start[l+2]-c0
+        gx, gws = None, [np.zeros(lw.shape) if needed[1 + 2 * l] else None
+                         for l, (lw, _) in enumerate(layer_params)]
+        for m in range(n_layers, -1, -1):
+            lo, hi = start[m], start[m + 1]
+            gm = g[lo:hi]
+            if m < n_layers:
+                stack = pre[hi - c0:]                # layers m.., which read map m
+                kernels = np.concatenate([lw.data[:, lo:hi] for lw, _ in layer_params[m:]])
+                if m > 0 or needed[0]:
+                    gm = gm + ad.conv_input_grad(stack, kernels, (hi - lo, h, w), 1, 1)
+                if any(gw is not None for gw in gws[m:]):
+                    gk = ad.conv_weight_grad(stack, out[lo:hi], kernels.shape[2], 1, 1)
+                    for l in range(m, n_layers):
+                        if gws[l] is not None:
+                            gws[l][:, lo:hi] += gk[start[l + 1] - hi:start[l + 2] - hi]
+            if m > 0:
+                rows = slice(lo - c0, hi - c0)
+                np.multiply(gm, np.where(mask[rows], 1.0, ad.LEAKY_SLOPE), out=pre[rows])
+            else:
+                gx = gm
+        flat = [gx]
+        for l in range(n_layers):
+            p = pre[start[l + 1] - c0:start[l + 2] - c0]
+            flat += [gws[l], ad._unbroadcast(p, (len(p), 1, 1)).reshape(len(p))
+                     if needed[2 + 2 * l] else None]
+        return tuple(gr for gr, n in zip(flat, needed) if n)
+
+    return ad._node(out, tuple(t for t, n in zip(leaves, needed) if n), grads)
 
 
 def _dense_block_rows(buf: np.ndarray, layers: list[tuple[Tensor, Tensor]],
-                      h: int, w: int) -> None:
-    """`dense_block` without a tape, in place over `buf` (C_in + growth * L, H*W).
+                      h: int, w: int, mask: np.ndarray | None = None) -> None:
+    """`dense_block`'s forward, without a tape, in place over `buf` (C_in + growth * L, H*W).
 
     Rows 0:C_in hold the block input, and each layer's output goes into
     the rows after its predecessor's, so `buf` ends as the concatenated
     block output. Map j's stacked conv writes (map 0) or adds (later maps)
-    its product into the rows of layers j.., in the order `dense_block`
-    sums them, and layer j's band gets its bias and leaky ReLU at once.
+    its product into the rows of layers j.., summing each layer's products
+    in map order, and layer j's band gets its bias and leaky ReLU at once.
+    A bool `mask` (growth * L, H*W) receives each layer's pre-activation
+    sign, `>= 0`, in its rows.
     """
     widths = [lw.shape[0] for lw, _ in layers]
     edge = np.cumsum([0, len(buf) - sum(widths)] + widths)   # map j: rows edge[j]:edge[j+1]
@@ -155,7 +200,8 @@ def _dense_block_rows(buf: np.ndarray, layers: list[tuple[Tensor, Tensor]],
         lo, hi = edge[j], edge[j + 1]
         stacked = np.concatenate([lw.data[:, lo:hi] for lw, _ in layers[j:]])
         ad.conv_into(buf[lo:hi].reshape(hi - lo, h, w), stacked, buf[hi:], 1, 1,
-                     b.data, True, j > 0)
+                     b.data, True, j > 0,
+                     None if mask is None else mask[hi - edge[1]:edge[j + 2] - edge[1]])
 
 
 class TeacherNet(ParamModule):
@@ -247,16 +293,28 @@ class StudentNet(ParamModule):
         self.head = self._conv(rng, "head", 1, sc, 3)
 
     def forward(self, vis, ir) -> tuple[Tensor, list[Tensor]]:
-        """Fuse one pair. Returns (fused image (1, H, W), per-block adapted features)."""
+        """Fuse one pair. Returns (fused image (1, H, W), per-block adapted features).
+
+        The stem and each transition write their output into the first rows
+        of the next dense block's buffer, as `infer` does. The last
+        transition feeds the head, not a block, so its buffer has only its
+        own rows."""
         vis, ir = _image(vis), _image(ir)
         if vis.shape != ir.shape:
             raise ShapeError(f"source shapes differ: {vis.shape} vs {ir.shape}")
-        cur = ad.conv2d(ad.concat([vis, ir], axis=0), *self.stem, padding=1, leaky=True)
+        _, h, w = vis.shape
+        sc = self.cfg.stem_channels
+        rows = sc + self.cfg.growth * self.cfg.layers_per_block
+        buf = np.empty((rows, h * w))
+        cur = ad.conv2d(ad.concat([vis, ir], axis=0), *self.stem, padding=1, leaky=True,
+                        out=buf[:sc])
         taps = []
-        for layers, adapter, transition in zip(self.blocks, self.adapters, self.transitions):
-            blocked = dense_block(cur, layers)
+        for b, (layers, adapter, transition) in enumerate(
+                zip(self.blocks, self.adapters, self.transitions)):
+            blocked = dense_block(cur, layers, buf)
             taps.append(ad.conv2d(blocked, *adapter, padding=0, stride=2))
-            cur = ad.conv2d(blocked, *transition, padding=0, leaky=True)
+            buf = np.empty((rows if b + 1 < len(self.blocks) else sc, h * w))
+            cur = ad.conv2d(blocked, *transition, padding=0, leaky=True, out=buf[:sc])
             del blocked                            # free it before the next block runs
         out = ad.conv2d(cur, *self.head, padding=1)
         return ad.sigmoid(out), taps
@@ -279,6 +337,9 @@ class StudentNet(ParamModule):
         ad.conv_into(np.stack([vis, ir]), stem_w.data, buf[:sc], 1, 1, stem_b.data, True)
         for layers, (tw, tb) in zip(self.blocks, self.transitions):
             _dense_block_rows(buf, layers, h, w)
+            # every buffer full height, the last transition's too: at 256^2
+            # a smaller last one is served from the heap instead of a fresh
+            # mapping, and raised the fuse-256 peak RSS by 12 MB
             nxt = np.empty_like(buf)
             ad.conv_into(buf.reshape(len(buf), h, w), tw.data, nxt[:sc], 0, 1, tb.data, True)
             buf = nxt

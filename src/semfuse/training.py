@@ -11,7 +11,7 @@ import hashlib
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import partial, reduce
 from pathlib import Path
 
 import numpy as np
@@ -215,13 +215,21 @@ def _guard(term: str, fn):
     return out
 
 
-def _teach(state: TrainState, vis, ir):
-    """Masks for both sources, then the guarded teacher forward: (mv, mi, ref, feats)."""
-    mv = state.provider.masks_for(vis, "vis", rng=state.rng)
-    mi = state.provider.masks_for(ir, "ir", rng=state.rng)
+def _with_masks(state: TrainState, batch) -> list:
+    """Each pair as (vis, ir, mv, mi), with the masks of both sources.
+
+    The masks are drawn here, pair by pair, so `state.rng` (which the
+    `no_sam` masks draw from) runs in the order of a sequential loop,
+    whichever worker later runs each pair.
+    """
+    return [(vis, ir, state.provider.masks_for(vis, "vis", rng=state.rng),
+             state.provider.masks_for(ir, "ir", rng=state.rng)) for vis, ir in batch]
+
+
+def _teach(state: TrainState, vis, ir, mv, mi):
+    """The guarded teacher forward of one pair with its masks: (ref, feats)."""
     pv, pi = make_patches(vis, mv), make_patches(ir, mi)
-    ref, feats = _guard("teacher-forward", lambda: state.teacher.forward(vis, ir, pv, pi))
-    return mv, mi, ref, feats
+    return _guard("teacher-forward", lambda: state.teacher.forward(vis, ir, pv, pi))
 
 
 def _seg(state: TrainState, ref: Tensor, mv, mi) -> Tensor:
@@ -235,22 +243,30 @@ def _source_context(out: Tensor, vis, ir) -> list:
             for src in (vis, ir)]
 
 
-def _fold(terms_of, batch) -> tuple:
+def _fold(terms_of, pairs) -> tuple:
     """Batch mean of per-pair loss terms, backpropagated pair by pair:
     (float total, float parts).
 
-    `terms_of(vis, ir)` maps each term name to a graph scalar or a list of
+    `terms_of(*pair)` maps each term name to a graph scalar or a list of
     them, in the order the terms add; logged terms come in schema order
-    (`losses.TERMS`). Each pair's terms are summed in that order, scaled by
-    1/n and backpropagated before the next pair is built, so gradients
-    accumulate in the leaves and a step holds one pair's graph at a time.
+    (`losses.TERMS`). Each pair is one `ad.dispatch` task: it builds its
+    terms, sums them in that order, scales by 1/n and backpropagates into
+    a `grad_sink` of its own, so a step holds at most one pair's graph per
+    worker. This thread then adds the sinks into the leaves' `.grad` in
+    pair order: the sums, in the same order, of one pair after another.
     Each part sums its term over the batch in pair order; the total adds
     the parts' sums in term order.
     """
-    inv = 1.0 / len(batch)
+    inv = 1.0 / len(pairs)
+
+    def run(pair):
+        with ad.grad_sink() as sink:
+            return _backprop_pair(terms_of(*pair), inv), sink
+
     values = {}
-    for vis, ir in batch:
-        for key, vals in _backprop_pair(terms_of(vis, ir), inv).items():
+    for pair_values, sink in ad.dispatch([partial(run, pair) for pair in pairs]):
+        ad.apply_sink(sink)
+        for key, vals in pair_values.items():
             values.setdefault(key, []).extend(vals)
     sums = {key: reduce(operator.add, vals) for key, vals in values.items()}
     # max with 0: every term is non-negative up to roundoff, and the log
@@ -268,11 +284,11 @@ def _backprop_pair(terms: dict, inv: float) -> dict:
     return {k: [float(t.data) for t in ts] for k, ts in listed.items()}
 
 
-def _sample_terms(state: TrainState, vis, ir, need_seg: bool, gaps: list) -> dict:
-    """The enabled loss terms for one pair as graph scalars; appends the
-    pair's gap to `gaps`."""
+def _sample_terms(state: TrainState, vis, ir, mv, mi, need_seg: bool) -> tuple:
+    """The enabled loss terms for one pair as graph scalars, and the pair's
+    gap: (terms, gap)."""
     ab = state.cfg.ablations
-    mv, mi, ref, feats = _teach(state, vis, ir)
+    ref, feats = _teach(state, vis, ir, mv, mi)
     fus, taps = _guard("student-forward",
                        lambda: state.student.forward(vis, ir))
     vt, it_ = Tensor(vis[None]), Tensor(ir[None])
@@ -287,20 +303,25 @@ def _sample_terms(state: TrainState, vis, ir, need_seg: bool, gaps: list) -> dic
             "cs", lambda: losses.loss_cs(fus, ref, vt, it_, mv, mi, state.provider.encoder))
     if need_seg:
         terms["seg"] = _seg(state, ref, mv, mi)
-    gaps.append(float(np.mean(np.abs(fus.data - ref.data))))
-    return terms
+    return terms, float(np.mean(np.abs(fus.data - ref.data)))
 
 
 def _batch_objective(state: TrainState, batch, need_seg: bool):
     """Mean loss terms over a batch, backpropagated: (float total, parts, mean gap)."""
-    gaps = []
-    total, parts = _fold(lambda vis, ir: _sample_terms(state, vis, ir, need_seg, gaps), batch)
+    gaps = [0.0] * len(batch)                       # in pair order, whichever pair ends first
+
+    def terms_of(i, *pair):
+        terms, gaps[i] = _sample_terms(state, *pair, need_seg)
+        return terms
+
+    total, parts = _fold(terms_of, [(i, *pair) for i, pair in
+                                    enumerate(_with_masks(state, batch))])
     return total, parts, float(np.mean(gaps))
 
 
-def _teacher_terms(state: TrainState, vis, ir) -> dict:
+def _teacher_terms(state: TrainState, vis, ir, mv, mi) -> dict:
     """Source fidelity plus segmentation of the teacher alone, for one pair."""
-    mv, mi, ref, _ = _teach(state, vis, ir)
+    ref, _ = _teach(state, vis, ir, mv, mi)
     (g_v, m_v), (g_i, m_i) = _source_context(ref, vis, ir)
     return {"grad": [g_v, g_i], "mse": [m_v, m_i], "seg": _seg(state, ref, mv, mi)}
 
@@ -426,8 +447,8 @@ def _alternating_step(state: TrainState, batch, step: int, total: int):
 
 def _teacher_step(state: TrainState, batch, step: int, total: int):
     lr_m = cosine_lr(step, total, state.cfg.lr_main, state.cfg.lr_floor)
-    _, parts = _update(state, state.teacher, lr_m,
-                       lambda: _fold(lambda vis, ir: _teacher_terms(state, vis, ir), batch))
+    _, parts = _update(state, state.teacher, lr_m, lambda: _fold(
+        partial(_teacher_terms, state), _with_masks(state, batch)))
     return LossBreakdown.from_parts(step=step + 1, lr_main=lr_m, lr_sub=0.0, **parts), None
 
 
@@ -464,8 +485,8 @@ def _source_loss(out: Tensor, vis, ir):
     return (g_v + m_v) + (g_i + m_i)
 
 
-def _teacher_out(state: TrainState, vis, ir) -> Tensor:
-    return _teach(state, vis, ir)[2]
+def _teacher_out(state: TrainState, vis, ir, mv, mi) -> Tensor:
+    return _teach(state, vis, ir, mv, mi)[0]
 
 
 def _student_out(state: TrainState, vis, ir) -> Tensor:
@@ -473,9 +494,12 @@ def _student_out(state: TrainState, vis, ir) -> Tensor:
 
 
 def _pretrain_step(state: TrainState, batch, step: int, total: int) -> None:
-    for net, forward in ((state.teacher, _teacher_out), (state.student, _student_out)):
+    """A source-fidelity update of the teacher, then of the student, which draws no masks."""
+    for net, forward, pairs in ((state.teacher, _teacher_out, _with_masks(state, batch)),
+                                (state.student, _student_out, batch)):
         _update(state, net, PRETRAIN_LR, lambda: _fold(
-            lambda vis, ir: {"source": _source_loss(forward(state, vis, ir), vis, ir)}, batch))
+            lambda vis, ir, *masks: {"source": _source_loss(forward(state, vis, ir, *masks),
+                                                            vis, ir)}, pairs))
 
 
 def pretrain(teacher: TeacherNet, student: StudentNet, pairs, cfg: TrainConfig) -> None:

@@ -5,9 +5,11 @@ independent references in this file (direct-summation convolution,
 extended-precision softmax via mpmath) and frozen here.
 """
 import sys
+import threading
 import time
 import tracemalloc
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -547,6 +549,106 @@ class TestBandPool:
         assert sorted(ran) == [0, 4, 5, 6, 7]
 
 
+class TestDispatch:
+    """`ad.dispatch` runs a conv's band groups and a training batch's pairs."""
+
+    def test_results_come_in_task_order(self, monkeypatch):
+        # task 0 holds its thread until the other thread runs task 1, so
+        # task 0 finishes after task 1 and on another thread
+        monkeypatch.setattr(ad, "_WORKERS", 2)
+        second = threading.Event()
+
+        def task(i):
+            if i == 0:
+                assert second.wait(timeout=30)
+            if i == 1:
+                second.set()
+            return i, threading.current_thread() is threading.main_thread()
+
+        got = ad.dispatch([partial(task, i) for i in range(3)])
+        assert [i for i, _ in got] == [0, 1, 2] and got[0][1] != got[1][1]
+
+    def test_pooled_tasks_run_under_the_callers_errstate(self, monkeypatch):
+        # a pool thread starts at numpy's default errstate, which warns
+        monkeypatch.setattr(ad, "_WORKERS", 2)
+        big = np.full(3, 1e300)
+
+        def overflow(both):
+            both.wait()                          # one task on each thread
+            return big * big, threading.current_thread() is threading.main_thread()
+
+        with warnings.catch_warnings(), np.errstate(over="ignore"):
+            warnings.simplefilter("error")
+            both = threading.Barrier(2, timeout=30)
+            got = ad.dispatch([partial(overflow, both)] * 2)
+        assert all(np.isposinf(out).all() for out, _ in got)
+        assert sorted(on_main for _, on_main in got) == [False, True]
+        both = threading.Barrier(2, timeout=30)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            ad.dispatch([partial(overflow, both)] * 2)
+
+    def test_first_failing_task_is_raised_after_every_task_ends(self, monkeypatch):
+        monkeypatch.setattr(ad, "_WORKERS", 2)
+        late, early, ended = ValueError("task 0"), ValueError("task 1"), []
+
+        def fail_late():
+            time.sleep(0.2)
+            ended.append(0)
+            raise late
+
+        def fail_early():
+            ended.append(1)
+            raise early
+
+        def succeed():
+            time.sleep(0.3)
+            ended.append(2)
+
+        with pytest.raises(ValueError) as info:
+            ad.dispatch([fail_late, fail_early, succeed])
+        assert info.value is late and sorted(ended) == [0, 1, 2]
+
+    def test_one_worker_runs_inline_and_stops_at_the_first_failure(self, monkeypatch):
+        monkeypatch.setattr(ad, "_WORKERS", 1)
+        ran = []
+
+        def task(i):
+            ran.append((i, threading.current_thread() is threading.main_thread()))
+            if i == 1:
+                raise ValueError(i)
+
+        with pytest.raises(ValueError):
+            ad.dispatch([partial(task, i) for i in range(3)])
+        assert ran == [(0, True), (1, True)]
+
+    def test_dispatch_from_a_worker_runs_inline(self, monkeypatch):
+        # an inner dispatch that waited on the one pool thread from that
+        # thread would wait for itself
+        monkeypatch.setattr(ad, "_WORKERS", 2)
+
+        def inner():
+            return threading.current_thread().name
+
+        first_two = threading.Barrier(2, timeout=30)
+
+        def outer(i):
+            if i < 2:
+                first_two.wait()                 # one of them on the pool thread
+            return inner(), ad.dispatch([inner, inner]), ad.workers()
+
+        got = []
+        caller = threading.Thread(
+            target=lambda: got.extend(ad.dispatch([partial(outer, i) for i in range(3)])),
+            name="caller", daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive() and len(got) == 3
+        for name, inner_names, workers in got:
+            assert inner_names == [name, name] and workers == 1
+        assert {name for name, _, _ in got} == {"caller", "semfuse-band_0"}
+        assert ad.workers() == 2                 # the flag is the worker's own
+
+
 def conv_chain(x, w, b, padding, stride, leaky):
     """A conv layer as separate nodes: conv2d, then + reshape(b), then leaky_relu."""
     out = ad.conv2d(x, w, padding=padding, stride=stride)
@@ -631,6 +733,17 @@ class TestConvBiasLeaky:
             tracemalloc.stop()
         assert out._parents == (w, b)
         assert kept <= 1.5 * out.data.nbytes, f"{kept / out.data.nbytes:.2f}x the output"
+
+    def test_writes_into_a_given_out(self, rng):
+        x = ad.Tensor(rng.normal(size=(2, 6, 7)))
+        w, b = ad.Tensor(rng.normal(size=(4, 2, 3, 3))), ad.Tensor(rng.normal(size=4))
+        buf = np.zeros((6, 42))
+        got = ad.conv2d(x, w, b, padding=1, leaky=True, out=buf[:4])
+        want = ad.conv2d(x, w, b, padding=1, leaky=True)
+        assert np.shares_memory(got.data, buf) and got.data.shape == (4, 6, 7)
+        assert got.data.tobytes() == want.data.tobytes() and not buf[4:].any()
+        with pytest.raises(ShapeError, match="out"):
+            ad.conv2d(x, w, b, padding=1, out=buf[:3])
 
     def test_rejects_a_bias_of_the_wrong_size(self):
         with pytest.raises(ShapeError, match="bias"):
@@ -769,15 +882,24 @@ class TestShapeOps:
             assert res.passed, name
 
     @pytest.mark.parametrize("slope", [0.0, 0.2, 1.0])
-    def test_leaky_relu_bytes_equal_where(self, slope):
+    def test_leaky_relu_bytes_equal_where(self, slope, monkeypatch):
+        # leaky_relu reads the module's one slope at call time; its max form
+        # equals the where form bit for bit at LEAKY_SLOPE (0.2) and at both
+        # ends of [0, 1], so the identity does not hang on the value chosen
+        assert ad.LEAKY_SLOPE == 0.2
+        monkeypatch.setattr(ad, "LEAKY_SLOPE", slope)
         x = np.array([-0.0, 0.0, -1.5, -1e-300, -5e-324, 2.0, 1e-300, -3.0e5])
-        got = ad.leaky_relu(ad.Tensor(x), slope).data
+        got = ad.leaky_relu(ad.Tensor(x)).data
         assert got.tobytes() == np.where(x >= 0, x, slope * x).tobytes()
         assert np.signbit(got[0]) and not np.signbit(got[1])
 
     def test_leaky_relu_rejects_slope_outside_unit_interval(self):
-        for slope in (-0.1, 1.5, float("nan")):
-            with pytest.raises(ContractError, match="slope"):
+        # the one slope is a constant in (0, 1], where max(a, slope * a)
+        # is the leaky ReLU and an output's sign is its input's but for
+        # the negative subnormals that round to -0.0; no call can set another
+        assert 0.0 < ad.LEAKY_SLOPE <= 1.0
+        for slope in (-0.1, 1.5, float("nan"), ad.LEAKY_SLOPE):
+            with pytest.raises(TypeError):
                 ad.leaky_relu(ad.Tensor(np.ones(3)), slope)
 
     def test_log_sqrt_clamp_vs_fd(self, rng):

@@ -1,5 +1,6 @@
 """Network shapes, parameter accounting, checkpoints, gradient flow."""
 import functools
+import itertools
 import re
 import tracemalloc
 from dataclasses import replace
@@ -120,7 +121,7 @@ class TestDenseBlock:
         for w, b in layer_params:
             cur = feats[0] if len(feats) == 1 else ad.concat(feats, axis=0)
             out = ad.conv2d(cur, w, padding=1) + ad.reshape(b, (b.size, 1, 1))
-            feats.append(ad.leaky_relu(out, 0.2))
+            feats.append(ad.leaky_relu(out))
         return ad.concat(feats, axis=0)
 
     def test_bytes_equal_concat_per_layer(self):
@@ -143,6 +144,76 @@ class TestDenseBlock:
         # each layer's sum is split by input map, so only the last ulps may move
         for a, b in zip(got, want):
             assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+    @staticmethod
+    def tape_chain(x, layer_params):
+        """The block as a tape of small nodes, as it ran before it became one
+        node. Once a map is ready, one conv applies the input-channel slices
+        (`ad.index` windows) of every later layer's kernel, stacked with
+        `ad.concat`; each of those layers adds its rows of the response to
+        its sum, in map order, and a layer's output is leaky_relu(sum + b)."""
+        widths = [x.shape[0]] + [w.shape[0] for w, _ in layer_params]
+        feats, sums = [x], {}
+        for j, (_, b) in enumerate(layer_params):
+            lo = sum(widths[:j])
+            later = [w for w, _ in layer_params[j:]]
+            window = (slice(None), slice(lo, lo + widths[j]))
+            stacked = ad.concat([ad.index(w, window) for w in later], axis=0)
+            resp = ad.conv2d(feats[j], stacked, padding=1)
+            row = 0
+            for i, w in enumerate(later, start=j):
+                piece = ad.index(resp, (slice(row, row + w.shape[0]),))
+                sums[i] = sums[i] + piece if i in sums else piece
+                row += w.shape[0]
+            feats.append(ad.leaky_relu(sums.pop(j) + ad.reshape(b, (b.size, 1, 1))))
+        return ad.concat(feats, axis=0)
+
+    @pytest.mark.parametrize("train_x,train_w,train_b",
+                             list(itertools.product([False, True], repeat=3)))
+    def test_node_bits_equal_the_tape_chain(self, train_x, train_w, train_b):
+        rng = np.random.default_rng(11)
+        c0, g = 5, 3
+        x = Tensor(rng.normal(size=(c0, 7, 9)), requires_grad=train_x)
+        kernels = [rng.normal(size=(g, c0 + g * j, 3, 3)) * 0.3 for j in range(4)]
+        biases = [rng.normal(size=g) * 0.1 for _ in range(4)]
+        # channel 1 of layer 2 reads nothing and adds -5e-324: its leaky
+        # output rounds to -0.0, so only the pre-activation's sign gives it
+        # the slope LEAKY_SLOPE that leaky_relu's rule gives
+        kernels[2][1], biases[2][1] = 0.0, -5e-324
+        layers = [(Tensor(k, requires_grad=train_w), Tensor(b, requires_grad=train_b))
+                  for k, b in zip(kernels, biases)]
+        leaves = [x] + [t for pair in layers for t in pair]
+        coef = rng.normal(size=(c0 + 4 * g, 7, 9))
+        results = []
+        for block in (self.tape_chain, dense_block):
+            for t in leaves:
+                t.zero_grad()
+            out = block(x, layers)
+            loss = ad.tsum(ad.mul(out, coef))
+            if loss.requires_grad:
+                loss.backward()
+            results.append([out] + [t.grad for t in leaves])
+        (want, *want_grads), (got, *got_grads) = results
+        subnormal = got.data[c0 + 2 * g + 1]
+        assert (subnormal == 0).all() and np.signbit(subnormal).all()
+        assert np.array_equal(got.data, want.data)
+        assert got.requires_grad == (train_x or train_w or train_b) == want.requires_grad
+        for a, ref in zip(got_grads, want_grads):
+            assert (a is None) == (ref is None)
+            assert a is None or np.array_equal(a, ref)
+
+    def test_writes_into_a_buffer_that_begins_with_its_input(self):
+        rng = np.random.default_rng(12)
+        layers = [(Tensor(rng.normal(size=(2, 3 + 2 * j, 3, 3))), Tensor(rng.normal(size=2)))
+                  for j in range(2)]
+        src, kernel = Tensor(rng.normal(size=(1, 4, 5))), Tensor(rng.normal(size=(3, 1, 3, 3)))
+        buf = np.empty((7, 20))
+        x = ad.conv2d(src, kernel, padding=1, out=buf[:3])
+        out = dense_block(x, layers, buf)
+        assert np.shares_memory(out.data, buf)
+        assert np.array_equal(out.data, dense_block(Tensor(x.data.copy()), layers).data)
+        with pytest.raises(ContractError, match="does not begin with its input"):
+            dense_block(Tensor(x.data.copy()), layers, np.empty((7, 20)))
 
     def test_kernel_that_misreads_the_maps_rejected(self):
         x = Tensor(np.ones((4, 5, 5)))
@@ -177,7 +248,7 @@ class TestInferenceMemory:
     def test_frozen_student_peak_is_bounded_per_pixel(self):
         # a dense block holds one map's columns at a time (at most 288 rows);
         # one buffer for all of a block's maps (720 rows) peaks at 1,024.
-        # Measured: 439 float64 per pixel on either path
+        # Measured: 455 float64 per pixel on forward, 439 on infer
         for path in ("forward", "infer"):
             per_pixel = frozen_student_peak_per_pixel(64, path)
             assert per_pixel <= 600, f"{path}: {per_pixel:.0f} float64 per pixel"
@@ -185,12 +256,11 @@ class TestInferenceMemory:
     def test_frozen_student_peak_over_several_blocks_is_bounded_per_pixel(self):
         # at 128^2 each 3x3 conv runs four 4,096-pixel bands in
         # MAX_GROUPS = 2 groups, each with its own column buffer and padded
-        # rows. forward frees a dense block's output before the next dense
-        # block runs, and a dense layer's conv response and finished sum
-        # before the next map's conv; infer holds one block buffer, and
-        # the next one only while the transition runs. The peak grows with
-        # the groups: forward measured 248 float64 per pixel with one
-        # group, 275 with two, 436 with four; infer 268 with two
+        # rows. Both paths hold one block buffer, and the next one only
+        # while the transition writes into its first rows; the last
+        # transition's buffer has only its own rows. The peak grows with
+        # the groups: forward measured 240 float64 per pixel with one
+        # group, 279 with two, 440 with four; infer 263 with two
         for path in ("forward", "infer"):
             per_pixel = frozen_student_peak_per_pixel(128, path)
             assert per_pixel <= 280, f"{path}: {per_pixel:.0f} float64 per pixel"
@@ -256,10 +326,12 @@ class TestTrainingTapeMemory:
         return kept / (self.SIDE * self.SIDE * 8)
 
     def test_trainable_student_tape_is_bounded_per_pixel(self):
-        # no conv keeps its columns and each dense-block piece is a view of
-        # its map's stacked response: 1,646 float64 per pixel measured at 48^2
+        # no conv keeps its columns, and a dense block keeps its one buffer
+        # (the stem or transition output in its first rows) and a bool mask
+        # per layer: 373 float64 per pixel measured at 48^2, against 1,646
+        # while each block was a tape of per-map convs, windows and sums
         per_pixel = self.kept_per_pixel(StudentNet(), *synth_pair(0, self.SIDE, self.SIDE))
-        assert per_pixel <= 2000, f"{per_pixel:.0f} float64 per pixel"
+        assert per_pixel <= 600, f"{per_pixel:.0f} float64 per pixel"
 
     def test_trainable_teacher_tape_is_bounded_per_pixel(self):
         # no attention node keeps its heads' T^2 weights: 646 float64 per

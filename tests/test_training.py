@@ -1,6 +1,8 @@
 """Optimizer, schedules, alternation phases, and training dynamics."""
 import operator
 import re
+import threading
+import time
 import tracemalloc
 from functools import reduce
 
@@ -44,9 +46,9 @@ def source_fidelity(state, pairs) -> tuple:
     """Mean context loss of each net's output against both sources."""
     totals = []
     with frozen(state.teacher.parameters()), frozen(state.student.parameters()):
-        for forward in (_teacher_out, _student_out):
-            vals = [float(_source_loss(forward(state, vis, ir), vis, ir).data)
-                    for vis, ir in pairs]
+        for forward, args in ((_teacher_out, training._with_masks(state, pairs)),
+                              (_student_out, pairs)):
+            vals = [float(_source_loss(forward(state, *a), *a[:2]).data) for a in args]
             totals.append(float(np.mean(vals)))
     return totals[0], totals[1]
 
@@ -233,10 +235,9 @@ def batch_graph_objective(state, batch, need_seg):
     term summed over the batch in pair order, the sums added in term order
     and scaled by 1/n, then one `backward` through the whole batch's graph.
     Returns (float total, float parts)."""
-    gaps = []
     samples = [{k: v if isinstance(v, list) else [v] for k, v in
-                training._sample_terms(state, vis, ir, need_seg, gaps).items()}
-               for vis, ir in batch]
+                training._sample_terms(state, *pair, need_seg)[0].items()}
+               for pair in training._with_masks(state, batch)]
     sums = {k: reduce(operator.add, [t for s in samples for t in s[k]]) for k in samples[0]}
     inv = 1.0 / len(batch)
     total = reduce(operator.add, sums.values()) * inv
@@ -282,23 +283,132 @@ class TestPerPairBackward:
             else:
                 assert np.max(np.abs(seen[name] - g)) <= 1e-12 * np.max(np.abs(g)), name
 
-    def test_step_peak_memory_does_not_grow_with_the_batch(self):
+    def test_step_peak_memory_does_not_grow_with_the_batch(self, monkeypatch):
         # Traced peak of one main_phase plus sub_phase, slim nets at crop 32.
         # One backward through the whole batch's graph holds every pair's
         # tape: batch 4 peaked at 41.5 MB against 11.5 MB at batch 1 (3.6x).
-        # Pair by pair, batch 4 reads 11.8 MB against 11.6 MB (1.02x).
-        peaks = {}
-        for n in (1, 4):
+        # Pair by pair on one worker, batch 4 reads 1.04x batch 1. Each of
+        # two workers holds one pair's graph, so the peak grows with the
+        # workers, not with the batch: batch 8 against batch 2 reads
+        # 1.02x-1.09x, while batch 4 against batch 1 reads 2.0x. Batch 8
+        # runs first, so the pool thread is up when batch 2's two pairs
+        # start: a batch 2 that waits for it overlaps its pairs less
+        def peak(n):
             state = make_state(*slim_setup(seed=21, batch=n, crop=32))
             batch = make_pairs(n, h=32, w=32, seed=21)
             tracemalloc.start()
             try:
                 main_phase(state, batch, lr=1e-3)
                 sub_phase(state, batch, lr=1e-3)
-                peaks[n] = tracemalloc.get_traced_memory()[1]
+                return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peaks[4] <= 1.5 * peaks[1], peaks
+
+        monkeypatch.setattr(ad, "_WORKERS", 1)
+        one = {n: peak(n) for n in (1, 4)}
+        assert one[4] <= 1.5 * one[1], one
+        monkeypatch.setattr(ad, "_WORKERS", 2)
+        two = {n: peak(n) for n in (8, 2)}
+        assert two[8] <= 1.15 * two[2], two
+
+
+class TestPairWorkers:
+    """A batch's pairs run on two workers with the bits of one worker."""
+
+    @pytest.mark.parametrize("ablations,pretrain_epochs", [
+        (Ablations(), 0),
+        (Ablations(no_sam=True), 0),                    # masks drawn from the run's rng
+        (Ablations(no_sam=True, offline=True), 1)])    # pretrain and both offline passes
+    def test_bytes_equal_one_worker(self, monkeypatch, ablations, pretrain_epochs):
+        # 7 x 16 output pixels per band: each pair's 3x3 convs run three bands
+        monkeypatch.setattr(ad, "BLOCK_PX", 112)
+        threads = set()
+        real = training._backprop_pair
+
+        def spy(terms, inv):
+            threads.add(threading.current_thread().name)
+            return real(terms, inv)
+
+        monkeypatch.setattr(training, "_backprop_pair", spy)
+        # every update's gradients as they reach the clip: Adam's first
+        # steps move a weight by about lr * sign(g), which hides ulps
+        grads = []
+        real_clip = training.clip_global_norm
+
+        def snapshot(params):
+            params = list(params)
+            grads.append(b"".join(p.grad.tobytes() for p in params if p.grad is not None))
+            return real_clip(params)
+
+        monkeypatch.setattr(training, "clip_global_norm", snapshot)
+        outs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(ad, "_WORKERS", workers)
+            grads.clear()
+            teacher, student, cfg = slim_setup(seed=23, batch=3, steps=2, ablations=ablations,
+                                               pretrain_epochs=pretrain_epochs)
+            pairs = make_pairs(3, h=20, w=20, seed=23)
+            pretrain(teacher, student, pairs, cfg)
+            report = alternate_train(teacher, student, pairs, cfg, verbose=False)
+            outs.append((list(grads), param_bytes(teacher), param_bytes(student),
+                         [r.csv_row() for r in report.rows], report.epoch_gap))
+        assert outs[0] == outs[1]
+        assert "MainThread" in threads and any(t.startswith("semfuse-band") for t in threads)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("phase", ["main", "sub"])
+    def test_grads_equal_a_loop_of_backward_calls(self, monkeypatch, phase, workers):
+        # the loop the sinks replaced: each pair's backward adds into .grad
+        # before the next pair is built, so g1, then + g2, then + g3
+        batch = make_pairs(3, seed=25)
+        fold_state, ref_state = (make_state(*slim_setup(seed=25, batch=3)) for _ in range(2))
+        seen = {}
+        real_clip = training.clip_global_norm
+
+        def snapshot(params):
+            params = list(params)
+            seen.update((p.name, p.grad.tobytes()) for p in params if p.grad is not None)
+            return real_clip(params)
+
+        monkeypatch.setattr(training, "clip_global_norm", snapshot)
+        monkeypatch.setattr(ad, "_WORKERS", workers)
+        (main_phase if phase == "main" else sub_phase)(fold_state, batch, lr=1e-3)
+        net, other = ((ref_state.teacher, ref_state.student) if phase == "main"
+                      else (ref_state.student, ref_state.teacher))
+        with frozen(other.parameters()):
+            for pair in training._with_masks(ref_state, batch):
+                terms, _ = training._sample_terms(ref_state, *pair, phase == "main")
+                training._backprop_pair(terms, 1.0 / len(batch))
+        want = {p.name: p.grad.tobytes() for p in net.parameters() if p.grad is not None}
+        assert want and seen == want
+
+    def test_abort_names_the_first_failing_pair(self, monkeypatch):
+        # pair 0 fails late (its fea term), pair 1 early (its student forward):
+        # one worker meets pair 0's failure first, and two workers raise it too
+        pairs = make_pairs(2, seed=24)
+        second = pairs[1][0]
+
+        def late_inf(*a, **k):
+            time.sleep(0.2)
+            return ad.log(Tensor(0.0))
+
+        monkeypatch.setattr(losses_mod, "loss_fea", late_inf)
+        terms = []
+        for workers in (1, 2):
+            monkeypatch.setattr(ad, "_WORKERS", workers)
+            teacher, student, cfg = slim_setup(seed=24, steps=1)
+            real = student.forward
+
+            def nan_for_second(vis, ir, real=real):
+                fused, taps = real(vis, ir)
+                return (ad.sqrt(fused - 2.0) if np.array_equal(vis, second) else fused), taps
+
+            monkeypatch.setattr(student, "forward", nan_for_second)
+            with np.errstate(divide="ignore", invalid="ignore"), \
+                    pytest.raises(TrainingAbort) as err:
+                alternate_train(teacher, student, pairs, cfg, verbose=False)
+            terms.append(err.value.term)
+        assert terms == ["fea", "fea"]
 
 
 class TestPretrain:
