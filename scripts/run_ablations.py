@@ -19,7 +19,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from semfuse.data import synth_pair
 from semfuse.metrics import evaluate_triple
 from semfuse.networks import build_nets
-from semfuse.training import Ablations, TrainConfig, alternate_train
+from semfuse.training import Ablations, TrainConfig, alternate_train, frozen
 
 # the full method, then one row per ablation switch in declaration order
 VARIANTS = (("full", {}),) + tuple((f.name, {f.name: True}) for f in fields(Ablations))
@@ -34,7 +34,9 @@ def run_variant(name, flags, pairs, args):
     teacher, student = build_nets(args.seed, ablations.variant())
     report = alternate_train(teacher, student, pairs, cfg, verbose=False)
 
-    scores = [evaluate_triple(student.infer(vis, ir), vis, ir) for vis, ir in pairs]
+    with frozen(student.parameters()):
+        scores = [evaluate_triple(student.forward(vis, ir).data[0], vis, ir)
+                  for vis, ir in pairs]
     return {
         "variant": name,
         "final_total_sub": report.rows[-1].total_sub,

@@ -317,19 +317,14 @@ def clamp_min(a, floor: float) -> Tensor:
     return _from_op(np.maximum(a.data, floor), (a, lambda g: g * (a.data > floor)))
 
 
-def _sigmoid(x: Array) -> Array:
-    """1 / (1 + exp(-x)), with exp taken only of non-positive values."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def sigmoid(a) -> Tensor:
+    """1 / (1 + exp(-a)), with exp taken only of non-positive values."""
     a = _as_tensor(a)
-    out = _sigmoid(a.data)
+    out = np.empty_like(a.data)
+    pos = a.data >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-a.data[pos]))
+    ex = np.exp(a.data[~pos])
+    out[~pos] = ex / (1.0 + ex)
     return _from_op(out, (a, lambda g: g * out * (1.0 - out)))
 
 
@@ -556,8 +551,8 @@ _WORKERS = ((len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 # At most this many workers, whatever the cores: each conv band group holds
 # its own column buffer and padded rows, and each training pair its own
 # graph, so the peak grows with the workers. A frozen student at 128^2
-# (four bands per 3x3 conv) peaks at 279 float64 per pixel with two groups
-# and 440 with four; its test allows 280.
+# (four bands per 3x3 conv) peaks at 259 float64 per pixel with two groups
+# and 420 with four; its test allows 280.
 MAX_GROUPS = 2
 # The caller of a dispatch is one of its workers, so the pool holds the
 # others. It starts no thread until the first dispatch of more than one task.
@@ -792,7 +787,10 @@ def conv2d(x, w, b=None, padding: int = 0, stride: int = 1, leaky: bool = False,
     views. The rules are `conv_input_grad` and `conv_weight_grad`. So a
     conv over more than BLOCK_PX output pixels may differ from a one-GEMM
     conv in the last ulp, in its output and its weight gradient, but not
-    with the number of workers that ran its bands.
+    with the number of workers that ran its bands. A leaky conv that
+    records an edge keeps a bool mask of its pre-activation's sign, which
+    `conv_into` writes, and scales the gradient by LEAKY_SLOPE where it is
+    false, as `leaky_relu` does.
     """
     x, w = _as_tensor(x), _as_tensor(w)
     if x.data.ndim != 3 or w.data.ndim != 4:
@@ -816,18 +814,18 @@ def conv2d(x, w, b=None, padding: int = 0, stride: int = 1, leaky: bool = False,
         out = np.empty((cout, ho * wo))
     elif out.shape != (cout, ho * wo):
         raise ShapeError(f"conv2d out {out.shape} does not hold its ({cout}, {ho * wo}) output")
-    conv_into(x.data, w.data, out, padding, stride, None if b is None else b.data, leaky)
+    kept = x.requires_grad or w.requires_grad or (b is not None and b.requires_grad)
+    mask = np.empty((cout, ho * wo), dtype=bool) if leaky and kept else None
+    conv_into(x.data, w.data, out, padding, stride, None if b is None else b.data, leaky,
+              mask=mask)
     out = out.reshape(cout, ho, wo)
-
-    # The mask reads the output's sign, which is the pre-activation's only
-    # because LEAKY_SLOPE > 0: with slope 0, -0.0 outputs would hide negative
-    # inputs (here only the two smallest negative subnormals round to -0.0).
     bias_edge = [] if b is None else [(b, lambda g: g.sum(axis=(1, 2)))]
     return _from_op(out,
                     (x, lambda g: conv_input_grad(g, w.data, x.data.shape, padding, stride)),
                     (w, lambda g: conv_weight_grad(g, x.data, k, padding, stride)),
                     *bias_edge,
-                    pre=(lambda g: g * np.where(out >= 0, 1.0, LEAKY_SLOPE)) if leaky else None)
+                    pre=None if mask is None else
+                    (lambda g: g * np.where(mask.reshape(cout, ho, wo), 1.0, LEAKY_SLOPE)))
 
 
 def _sobel_core(xp: Tensor, h: int, w: int) -> Tensor:

@@ -208,7 +208,9 @@ def _resolve_checkpoint(cfg: RunConfig) -> Path:
 
 
 def cmd_fuse(cfg: RunConfig) -> int:
-    """Student-only inference without a tape. The prior/attention machinery must not run."""
+    """Student-only inference: the student's forward with its parameters
+    frozen and no adapter taps, so it builds no tape. The prior/attention
+    machinery must not run."""
     if not cfg.data:
         raise UsageError("fuse needs --data DIR with paired sources")
     ckpt = _resolve_checkpoint(cfg)
@@ -219,19 +221,20 @@ def cmd_fuse(cfg: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     before = snapshot()
     written = []
-    for stem, vis_path, ir_path in entries:
-        vis, ir, chroma = load_pair(vis_path, ir_path)
-        fused = student.infer(vis, ir)
-        if not np.isfinite(fused).all():
-            raise NonFiniteError(f"non-finite values in the fused image of pair {stem}")
-        luma = Image(fused)
-        if chroma is not None:
-            target = out / f"{stem}.fused.ppm"
-            save_image(ycbcr_to_rgb(luma, chroma), target)
-        else:
-            target = out / f"{stem}.fused.pgm"
-            save_image(luma, target)
-        written.append(target)
+    with frozen(student.parameters()):
+        for stem, vis_path, ir_path in entries:
+            vis, ir, chroma = load_pair(vis_path, ir_path)
+            fused = student.forward(vis, ir).data[0]
+            if not np.isfinite(fused).all():
+                raise NonFiniteError(f"non-finite values in the fused image of pair {stem}")
+            luma = Image(fused)
+            if chroma is not None:
+                target = out / f"{stem}.fused.ppm"
+                save_image(ycbcr_to_rgb(luma, chroma), target)
+            else:
+                target = out / f"{stem}.fused.pgm"
+                save_image(luma, target)
+            written.append(target)
     moved = {k: v for k, v in delta(before).items() if v}
     if moved:
         raise ContractError(
@@ -311,7 +314,8 @@ def cmd_info(cfg: RunConfig) -> int:
     with frozen(teacher.parameters()), frozen(student.parameters()):
         ref, feats = teacher.forward(vis, ir, make_patches(vis, masks_vis),
                                      make_patches(ir, masks_ir))
-        fus, taps = student.forward(vis, ir)
+        taps = []
+        fus = student.forward(vis, ir, taps)
     print(f"main output {tuple(ref.shape)}")
     for i, f in enumerate(feats):
         print(f"main stage{i} features {tuple(f.shape)}")

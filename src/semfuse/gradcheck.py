@@ -175,7 +175,8 @@ def build_suite(seed: int = 0) -> list:
         vis_np, ir_np = synth_pair(seed + 2, 16, 16)
 
         def build():
-            fus, taps = net.forward(vis_np, ir_np)
+            taps = []
+            fus = net.forward(vis_np, ir_np, taps)
             return net_scalar(fus, taps)
         return check_scalar_fn("student", build, dict(net.named_parameters()),
                                h=1e-6, seed=seed)

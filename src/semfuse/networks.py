@@ -7,8 +7,9 @@ image; under `no_pr` it has neither repository nor source encoder. The
 student is a compact stem / dense-block / transition stack with a
 sigmoid head; 1x1 stride-2 adapters expose per-block features in the
 same shape as the teacher's per-stage features so the distillation terms
-can compare them directly. `StudentNet.infer`, which `fuse` runs, gives
-the student's fused image bit for bit without a tape or the adapters.
+can compare them directly. The student has one forward: training passes
+it a list for the adapter features, and `fuse` runs it with the
+parameters frozen and no list, so it builds no tape and no adapter runs.
 
 Both networks map [0, 1] inputs of any size >= 3x3 to an output of
 exactly the input size.
@@ -112,13 +113,18 @@ def dense_block(x: Tensor, layer_params: list[tuple[Tensor, Tensor]],
                 buf: np.ndarray | None = None) -> Tensor:
     """Densely connected conv layers, each consuming every prior feature map: one node.
 
-    The forward is `_dense_block_rows` over `buf` (C_in + growth * L, H*W),
-    whose first C_in rows hold x's data: the conv that made x wrote them
-    there (`conv2d(out=)`), or, if `buf` is None, x is copied into a new
-    buffer. The node's output views `buf`: the block input, then each
-    layer's output. It keeps `buf` and, unless nothing it reads needs a
-    gradient, a bool mask per layer of its pre-activation's sign, which is
-    what `leaky_relu` reads.
+    The node runs in place over `buf` (C_in + growth * L, H*W), whose
+    first C_in rows hold x's data: the conv that made x wrote them there
+    (`conv2d(out=)`), or, if `buf` is None, x is copied into a new buffer.
+    Each layer's output goes into the rows after its predecessor's, so
+    `buf` ends as the concatenated block output, which the node's output
+    views. Map j's stacked conv (the input-channel slices of the kernels
+    of layers j.., which read it) writes (map 0) or adds (later maps) its
+    product into the rows of layers j.., summing each layer's products in
+    map order, and layer j's band gets its bias and leaky ReLU at once.
+    Unless nothing it reads needs a gradient, the node keeps a bool mask
+    per layer of its pre-activation's sign, which is what `leaky_relu`
+    reads.
 
     The backward walks the maps from last to first. Map m's gradient is its
     rows of the output gradient plus conv2d's input rule on the stacked
@@ -143,7 +149,12 @@ def dense_block(x: Tensor, layer_params: list[tuple[Tensor, Tensor]],
     leaves = [x] + [t for pair in layer_params for t in pair]
     needed = [t.requires_grad for t in leaves]      # read when the node records
     mask = np.empty((start[-1] - c0, h * w), dtype=bool) if any(needed) else None
-    _dense_block_rows(buf, layer_params, h, w, mask)
+    for j, (_, b) in enumerate(layer_params):
+        lo, hi = start[j], start[j + 1]
+        stacked = np.concatenate([lw.data[:, lo:hi] for lw, _ in layer_params[j:]])
+        ad.conv_into(buf[lo:hi].reshape(hi - lo, h, w), stacked, buf[hi:], 1, 1,
+                     b.data, True, j > 0,
+                     None if mask is None else mask[hi - c0:start[j + 2] - c0])
     out = buf.reshape(-1, h, w)
     if mask is None:
         return ad._node(out)
@@ -180,28 +191,6 @@ def dense_block(x: Tensor, layer_params: list[tuple[Tensor, Tensor]],
         return tuple(gr for gr, n in zip(flat, needed) if n)
 
     return ad._node(out, tuple(t for t, n in zip(leaves, needed) if n), grads)
-
-
-def _dense_block_rows(buf: np.ndarray, layers: list[tuple[Tensor, Tensor]],
-                      h: int, w: int, mask: np.ndarray | None = None) -> None:
-    """`dense_block`'s forward, without a tape, in place over `buf` (C_in + growth * L, H*W).
-
-    Rows 0:C_in hold the block input, and each layer's output goes into
-    the rows after its predecessor's, so `buf` ends as the concatenated
-    block output. Map j's stacked conv writes (map 0) or adds (later maps)
-    its product into the rows of layers j.., summing each layer's products
-    in map order, and layer j's band gets its bias and leaky ReLU at once.
-    A bool `mask` (growth * L, H*W) receives each layer's pre-activation
-    sign, `>= 0`, in its rows.
-    """
-    widths = [lw.shape[0] for lw, _ in layers]
-    edge = np.cumsum([0, len(buf) - sum(widths)] + widths)   # map j: rows edge[j]:edge[j+1]
-    for j, (_, b) in enumerate(layers):
-        lo, hi = edge[j], edge[j + 1]
-        stacked = np.concatenate([lw.data[:, lo:hi] for lw, _ in layers[j:]])
-        ad.conv_into(buf[lo:hi].reshape(hi - lo, h, w), stacked, buf[hi:], 1, 1,
-                     b.data, True, j > 0,
-                     None if mask is None else mask[hi - edge[1]:edge[j + 2] - edge[1]])
 
 
 class TeacherNet(ParamModule):
@@ -292,60 +281,36 @@ class StudentNet(ParamModule):
             self.transitions.append(self._conv(rng, f"transition{b}", sc, block_out, 1))
         self.head = self._conv(rng, "head", 1, sc, 3)
 
-    def forward(self, vis, ir) -> tuple[Tensor, list[Tensor]]:
-        """Fuse one pair. Returns (fused image (1, H, W), per-block adapted features).
+    def forward(self, vis, ir, taps: list | None = None) -> Tensor:
+        """Fuse one pair: the fused image (1, H, W).
 
-        The stem and each transition write their output into the first rows
-        of the next dense block's buffer, as `infer` does. The last
-        transition feeds the head, not a block, so its buffer has only its
-        own rows."""
+        Given a list `taps`, appends each block's adapted features to it,
+        in block order; without one, no adapter runs. The stem and each
+        transition write their output into the first rows of a full-height
+        buffer, the next dense block's or, after the last block, the
+        head's input. Inside `ad.frozen(self.parameters())`, as `fuse` runs
+        it, every op returns a constant, so the pass builds no tape.
+        """
         vis, ir = _image(vis), _image(ir)
         if vis.shape != ir.shape:
             raise ShapeError(f"source shapes differ: {vis.shape} vs {ir.shape}")
         _, h, w = vis.shape
         sc = self.cfg.stem_channels
-        rows = sc + self.cfg.growth * self.cfg.layers_per_block
-        buf = np.empty((rows, h * w))
+        shape = (sc + self.cfg.growth * self.cfg.layers_per_block, h * w)
+        buf = np.empty(shape)
         cur = ad.conv2d(ad.concat([vis, ir], axis=0), *self.stem, padding=1, leaky=True,
                         out=buf[:sc])
-        taps = []
-        for b, (layers, adapter, transition) in enumerate(
-                zip(self.blocks, self.adapters, self.transitions)):
+        for layers, adapter, transition in zip(self.blocks, self.adapters, self.transitions):
             blocked = dense_block(cur, layers, buf)
-            taps.append(ad.conv2d(blocked, *adapter, padding=0, stride=2))
-            buf = np.empty((rows if b + 1 < len(self.blocks) else sc, h * w))
+            if taps is not None:
+                taps.append(ad.conv2d(blocked, *adapter, padding=0, stride=2))
+            # the last buffer full height too: at 256^2 a smaller one is
+            # served from the heap instead of a fresh mapping, and raised
+            # the fuse-256 peak RSS by 12 MB
+            buf = np.empty(shape)
             cur = ad.conv2d(blocked, *transition, padding=0, leaky=True, out=buf[:sc])
             del blocked                            # free it before the next block runs
-        out = ad.conv2d(cur, *self.head, padding=1)
-        return ad.sigmoid(out), taps
-
-    def infer(self, vis, ir) -> np.ndarray:
-        """The fused (H, W) image of one pair: forward(vis, ir)[0].data[0], bit for bit.
-
-        Builds no tape and skips the adapter taps. Every conv runs through
-        `ad.conv_into`, the kernel of `conv2d`'s forward, with its bias,
-        leaky ReLU and dense-block sums inside its band GEMMs, and a dense
-        block runs in one buffer that its transition reads whole.
-        """
-        vis, ir = np.asarray(vis, dtype=np.float64), np.asarray(ir, dtype=np.float64)
-        if vis.shape != ir.shape:
-            raise ShapeError(f"source shapes differ: {vis.shape} vs {ir.shape}")
-        h, w = vis.shape
-        sc = self.cfg.stem_channels
-        buf = np.empty((sc + self.cfg.growth * self.cfg.layers_per_block, h * w))
-        (stem_w, stem_b), (head_w, head_b) = self.stem, self.head
-        ad.conv_into(np.stack([vis, ir]), stem_w.data, buf[:sc], 1, 1, stem_b.data, True)
-        for layers, (tw, tb) in zip(self.blocks, self.transitions):
-            _dense_block_rows(buf, layers, h, w)
-            # every buffer full height, the last transition's too: at 256^2
-            # a smaller last one is served from the heap instead of a fresh
-            # mapping, and raised the fuse-256 peak RSS by 12 MB
-            nxt = np.empty_like(buf)
-            ad.conv_into(buf.reshape(len(buf), h, w), tw.data, nxt[:sc], 0, 1, tb.data, True)
-            buf = nxt
-        out = np.empty((1, h * w))
-        ad.conv_into(buf[:sc].reshape(sc, h, w), head_w.data, out, 1, 1, head_b.data)
-        return ad._sigmoid(out).reshape(h, w)
+        return ad.sigmoid(ad.conv2d(cur, *self.head, padding=1))
 
 
 def build_nets(seed: int, variant: str = "full") -> tuple[TeacherNet, StudentNet]:

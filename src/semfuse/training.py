@@ -289,8 +289,8 @@ def _sample_terms(state: TrainState, vis, ir, mv, mi, need_seg: bool) -> tuple:
     gap: (terms, gap)."""
     ab = state.cfg.ablations
     ref, feats = _teach(state, vis, ir, mv, mi)
-    fus, taps = _guard("student-forward",
-                       lambda: state.student.forward(vis, ir))
+    taps = []
+    fus = _guard("student-forward", lambda: state.student.forward(vis, ir, taps))
     vt, it_ = Tensor(vis[None]), Tensor(ir[None])
     terms = {}
     if not ab.no_fea:
@@ -490,7 +490,7 @@ def _teacher_out(state: TrainState, vis, ir, mv, mi) -> Tensor:
 
 
 def _student_out(state: TrainState, vis, ir) -> Tensor:
-    return _guard("student-forward", lambda: state.student.forward(vis, ir))[0]
+    return _guard("student-forward", lambda: state.student.forward(vis, ir))
 
 
 def _pretrain_step(state: TrainState, batch, step: int, total: int) -> None:

@@ -708,6 +708,20 @@ class TestConvBiasLeaky:
         for a, ref in zip(got, want):
             assert a.tobytes() == ref.tobytes()
 
+    def test_subnormal_pre_activations_get_the_slope(self):
+        # -5e-324 and -1e-323 times LEAKY_SLOPE round to -0.0, so the leaky
+        # output's sign cannot tell them from zero; the pre-activation's
+        # sign, which the node keeps, can
+        x = ad.Tensor(np.zeros((1, 2, 3)))
+        w = ad.Tensor(np.zeros((2, 1, 1, 1)))
+        b = ad.Tensor(np.array([-5e-324, -1e-323]), requires_grad=True)
+        coef = np.ones((2, 2, 3))
+        want = layer_bits(lambda: conv_chain(x, w, b, 0, 1, True), [b], coef)
+        got = layer_bits(lambda: ad.conv2d(x, w, b, leaky=True), [b], coef)
+        assert (got[0] == 0).all() and np.signbit(got[0]).all()
+        assert np.allclose(got[1], 6 * ad.LEAKY_SLOPE)
+        assert got[1].tobytes() == want[1].tobytes()
+
     def test_gradients_vs_fd(self, rng):
         x = ad.Tensor(rng.normal(size=(2, 5, 5)), requires_grad=True)
         w = ad.Tensor(rng.normal(size=(3, 2, 3, 3)) * 0.5, requires_grad=True)
@@ -720,8 +734,9 @@ class TestConvBiasLeaky:
         assert res.passed, res.per_tensor
 
     def test_trainable_layer_keeps_one_output(self, rng):
-        # the node keeps its output, which the mask reads; a chain of conv,
-        # + b and leaky_relu keeps three maps of the output's size
+        # the node keeps its output and a bool mask of its pre-activation's
+        # sign, an eighth of the output's bytes; a chain of conv, + b and
+        # leaky_relu keeps three maps of the output's size
         x = ad.Tensor(rng.normal(size=(16, 64, 64)))
         w = ad.Tensor(rng.normal(size=(16, 16, 3, 3)), requires_grad=True)
         b = ad.Tensor(rng.normal(size=16), requires_grad=True)

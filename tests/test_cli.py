@@ -1,4 +1,5 @@
 """Command surface: config resolution, artifacts, exit codes, decoupling."""
+import ast
 import math
 import os
 import re
@@ -209,6 +210,48 @@ class TestSettings:
             assert all(map(math.isfinite, (cfg.lr_main, cfg.lr_sub, cfg.lr_floor)))
             cfg.to_train_config()
 
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_each_command_reads_its_keys(self, command):
+        # every key a command takes besides the common ones is read on its
+        # handler's path: as cfg.<key> in the handler or a cli function it
+        # passes cfg to, or through cfg.ablations() or cfg.to_train_config()
+        handler, _help, keys = cli._COMMANDS[command]
+        unread = set(keys) - keys_read(handler.__name__)
+        assert not unread, f"{command} takes but never reads: {sorted(unread)}"
+
+
+def keys_read(function: str) -> set:
+    """The RunConfig keys that the cli function `function` reads on its path."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    config = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "RunConfig")
+    methods = {n.name: n for n in config.body if isinstance(n, ast.FunctionDef)}
+    settings = {f.name for f in fields(RunConfig)}
+    read, seen = set(), set()
+
+    def walk(fn, var):
+        if (fn.name, var) in seen:
+            return
+        seen.add((fn.name, var))
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == var):
+                if node.attr == "ablations":            # reads every Ablations field
+                    read.update(f.name for f in fields(cli.Ablations))
+                elif node.attr in methods:
+                    walk(methods[node.attr], "self")
+                elif node.attr in settings:
+                    read.add(node.attr)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in functions):
+                callee = functions[node.func.id]
+                for arg, param in zip(node.args, callee.args.args):
+                    if isinstance(arg, ast.Name) and arg.id == var:
+                        walk(callee, param.arg)
+
+    walk(functions[function], "cfg")
+    return read
+
 
 def train_args(out, *extra):
     return ("train", "--synthetic", "2", "--steps", "2", "--batch", "2",
@@ -386,8 +429,8 @@ class TestFuse:
         assert blobs[0] == blobs[1]
 
     def test_runs_without_the_training_forward(self, tmp_path, capsys, monkeypatch):
-        # fuse computes no adapter taps and builds no tape: with the training
-        # forward made to raise it still writes the frozen forward's bytes
+        # fuse runs the frozen forward without taps: it records no node with
+        # parents, runs no adapter conv, and writes the frozen forward's bytes
         data = tmp_path / "data"
         write_dataset(data, 1, h=97, w=131, seed=8)
         student = StudentNet(StudentConfig(), seed=3)
@@ -398,16 +441,28 @@ class TestFuse:
         save_checkpoint(tmp_path / "sub.ckpt", student)
         vis, ir, _ = load_pair(data / "pair000.vis.pgm", data / "pair000.ir.pgm")
         with ad.frozen(student.parameters()):
-            want = quantize(student.forward(vis, ir)[0].data[0]).tobytes()
+            want = quantize(student.forward(vis, ir).data[0]).tobytes()
 
-        def no_forward(self, vis, ir):
-            raise AssertionError("fuse ran StudentNet.forward")
+        real_node, real_conv = ad._node, ad.conv2d
+        recorded, kernels = [], []
 
-        monkeypatch.setattr(StudentNet, "forward", no_forward)
+        def node(data, parents=(), backward=None):
+            recorded.extend(parents)
+            return real_node(data, parents, backward)
+
+        def conv2d(x, w, *args, **kwargs):
+            kernels.append(w.name)
+            return real_conv(x, w, *args, **kwargs)
+
+        monkeypatch.setattr(ad, "_node", node)
+        monkeypatch.setattr(ad, "conv2d", conv2d)
         out = tmp_path / "fused"
         rc, _, _ = run(capsys, "fuse", "--data", str(data),
                        "--ckpt", str(tmp_path / "sub.ckpt"), "--out", str(out))
         assert rc == 0
+        assert not recorded
+        assert "stem.w" in kernels and "head.w" in kernels
+        assert not [k for k in kernels if k.startswith("adapter")]
         blob = (out / "pair000.fused.pgm").read_bytes()
         assert blob == b"P5\n131 97\n255\n" + want
 
@@ -419,7 +474,7 @@ class TestFuse:
         adam = Adam(dict(student.named_parameters()))
         for _ in range(150):
             student.zero_grad()
-            fused, _taps = student.forward(vis, vis)
+            fused = student.forward(vis, vis)
             g, m = loss_context(fused, target)
             ad.backward(g + m)
             clip_global_norm(student.parameters())

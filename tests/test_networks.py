@@ -64,7 +64,8 @@ class TestShapes:
     def test_student_output_matches_input_size(self, h, w):
         net = StudentNet(seed=4)
         vis, ir = sources(h, w, seed=1)
-        out, taps = net.forward(vis, ir)
+        taps = []
+        out = net.forward(vis, ir, taps)
         assert out.shape == (1, h, w)
         assert len(taps) == 3
         assert all(t.shape == (32, (h + 1) // 2, (w + 1) // 2) for t in taps)
@@ -75,7 +76,8 @@ class TestShapes:
         s = StudentNet(seed=6)
         vis, ir = sources(32, 32, seed=2)
         _, tf = t.forward(vis, ir, simple_patches(vis), simple_patches(ir))
-        _, sf = s.forward(vis, ir)
+        sf = []
+        s.forward(vis, ir, sf)
         assert [a.shape for a in tf] == [b.shape for b in sf]
 
     def test_mismatched_sources_rejected(self):
@@ -223,15 +225,15 @@ class TestDenseBlock:
             dense_block(x, layers)
 
 
-def frozen_student_peak_per_pixel(side: int, path: str) -> float:
-    """Traced peak of a default student's frozen `forward` or its `infer`
-    (the path `fuse` runs), in float64 per pixel."""
+def frozen_student_peak_per_pixel(side: int) -> float:
+    """Traced peak of a default student's frozen `forward` without taps,
+    as `fuse` runs it, in float64 per pixel."""
     vis, ir = synth_pair(0, side, side)
     net = StudentNet()
     with ad.frozen(net.parameters()):
         tracemalloc.start()
         try:
-            getattr(net, path)(vis, ir)
+            net.forward(vis, ir)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -248,67 +250,77 @@ class TestInferenceMemory:
     def test_frozen_student_peak_is_bounded_per_pixel(self):
         # a dense block holds one map's columns at a time (at most 288 rows);
         # one buffer for all of a block's maps (720 rows) peaks at 1,024.
-        # Measured: 455 float64 per pixel on forward, 439 on infer
-        for path in ("forward", "infer"):
-            per_pixel = frozen_student_peak_per_pixel(64, path)
-            assert per_pixel <= 600, f"{path}: {per_pixel:.0f} float64 per pixel"
+        # Measured: 425 float64 per pixel
+        per_pixel = frozen_student_peak_per_pixel(64)
+        assert per_pixel <= 600, f"{per_pixel:.0f} float64 per pixel"
 
     def test_frozen_student_peak_over_several_blocks_is_bounded_per_pixel(self):
         # at 128^2 each 3x3 conv runs four 4,096-pixel bands in
         # MAX_GROUPS = 2 groups, each with its own column buffer and padded
-        # rows. Both paths hold one block buffer, and the next one only
-        # while the transition writes into its first rows; the last
-        # transition's buffer has only its own rows. The peak grows with
-        # the groups: forward measured 240 float64 per pixel with one
-        # group, 279 with two, 440 with four; infer 263 with two
-        for path in ("forward", "infer"):
-            per_pixel = frozen_student_peak_per_pixel(128, path)
-            assert per_pixel <= 280, f"{path}: {per_pixel:.0f} float64 per pixel"
+        # rows. The pass holds one full-height block buffer, and the next
+        # one only while the transition writes into its first rows. The
+        # peak grows with the groups: 259 float64 per pixel measured with
+        # two; with the adapter taps, as training runs it, 282
+        per_pixel = frozen_student_peak_per_pixel(128)
+        assert per_pixel <= 280, f"{per_pixel:.0f} float64 per pixel"
 
 
 @functools.lru_cache(maxsize=None)
-def forward_and_infer_net(side):
-    """A default student with seeded non-zero biases, and its frozen
-    forward's fused image of a seeded pair of size `side`."""
+def one_worker_net(side):
+    """A default student with seeded non-zero biases, a seeded pair of size
+    `side`, and the frozen forward's fused image of it on one worker."""
     net = StudentNet(seed=4)
     rng = np.random.default_rng(5)
     for name, t in net.named_parameters():
         if name.endswith(".b"):                         # zero biases would hide their order
             t.data = rng.normal(scale=0.1, size=t.data.shape)
     vis, ir = synth_pair(side[0] + side[1], *side)
-    with ad.frozen(net.parameters()):
-        want = net.forward(vis, ir)[0].data[0]
+    saved = ad._WORKERS
+    ad._WORKERS = 1
+    try:
+        with ad.frozen(net.parameters()):
+            want = net.forward(vis, ir).data[0]
+    finally:
+        ad._WORKERS = saved
     return net, vis, ir, want
 
 
 class TestStudentInference:
-    """`infer`, the tape-free path `fuse` runs, equals the frozen forward bit for bit."""
+    """The frozen forward, as `fuse` runs it, gives the bits of one worker at any number."""
 
     @pytest.mark.parametrize("side", [(256, 256), (97, 131), (300, 211), (33, 17),
                                       (129, 515), (80, 300), (72, 72), (512, 384)])
     @pytest.mark.parametrize("groups", [1, 2, 3])
     def test_bits_equal_frozen_forward(self, monkeypatch, side, groups):
-        # 3 groups is more than the pool's threads, so groups also queue
+        # 3 groups is more than the pool's threads, so groups also queue;
+        # at 1 the pass runs again into fresh buffers
         monkeypatch.setattr(ad, "_WORKERS", groups)
         monkeypatch.setattr(ad, "MAX_GROUPS", groups)
-        net, vis, ir, want = forward_and_infer_net(side)
-        got = net.infer(vis, ir)
-        assert got.shape == side and np.array_equal(got, want)
+        net, vis, ir, want = one_worker_net(side)
+        with ad.frozen(net.parameters()):
+            got = net.forward(vis, ir)
+        assert got.shape == (1, *side) and np.array_equal(got.data[0], want)
+        assert not got.requires_grad
 
-    def test_slim_config_bits_equal_frozen_forward(self):
+    def test_slim_config_bits_equal_frozen_forward(self, monkeypatch):
         net, rng = StudentNet(SLIM_STUDENT, seed=2), np.random.default_rng(8)
         for name, t in net.named_parameters():
             if name.endswith(".b"):
                 t.data = rng.normal(scale=0.1, size=t.data.shape)
-        vis, ir = sources(45, 29, seed=6)
-        with ad.frozen(net.parameters()):
-            want = net.forward(vis, ir)[0].data[0]
-        assert np.array_equal(net.infer(vis, ir), want)
+        vis, ir = sources(97, 131, seed=6)             # four bands per 3x3 conv
+        images = []
+        for groups in (1, 2, 3):
+            monkeypatch.setattr(ad, "_WORKERS", groups)
+            monkeypatch.setattr(ad, "MAX_GROUPS", groups)
+            with ad.frozen(net.parameters()):
+                images.append(net.forward(vis, ir).data)
+        assert all(np.array_equal(im, images[0]) for im in images[1:])
 
     def test_mismatched_sources_rejected(self):
         vis, ir = sources(8, 8)
-        with pytest.raises(ShapeError, match="source shapes differ"):
-            StudentNet().infer(vis, ir[:, :7])
+        net = StudentNet()
+        with ad.frozen(net.parameters()), pytest.raises(ShapeError, match="source shapes differ"):
+            net.forward(vis, ir[:, :7])
 
 
 class TestTrainingTapeMemory:
@@ -322,7 +334,7 @@ class TestTrainingTapeMemory:
             kept, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert out[0].requires_grad
+        assert (out[0] if isinstance(out, tuple) else out).requires_grad
         return kept / (self.SIDE * self.SIDE * 8)
 
     def test_trainable_student_tape_is_bounded_per_pixel(self):
@@ -330,7 +342,7 @@ class TestTrainingTapeMemory:
         # (the stem or transition output in its first rows) and a bool mask
         # per layer: 373 float64 per pixel measured at 48^2, against 1,646
         # while each block was a tape of per-map convs, windows and sums
-        per_pixel = self.kept_per_pixel(StudentNet(), *synth_pair(0, self.SIDE, self.SIDE))
+        per_pixel = self.kept_per_pixel(StudentNet(), *synth_pair(0, self.SIDE, self.SIDE), [])
         assert per_pixel <= 600, f"{per_pixel:.0f} float64 per pixel"
 
     def test_trainable_teacher_tape_is_bounded_per_pixel(self):
@@ -367,8 +379,8 @@ class TestDeterminism:
         vis, ir = sources(16, 16, seed=3)
         a = StudentNet(seed=7)
         b = StudentNet(seed=7)
-        oa, _ = a.forward(vis, ir)
-        ob, _ = b.forward(vis, ir)
+        oa = a.forward(vis, ir)
+        ob = b.forward(vis, ir)
         assert np.array_equal(oa.data, ob.data)
         ta = TeacherNet(seed=8)
         tb = TeacherNet(seed=8)
@@ -379,8 +391,8 @@ class TestDeterminism:
 
     def test_different_seeds_differ(self):
         vis, ir = sources(16, 16, seed=4)
-        oa, _ = StudentNet(seed=1).forward(vis, ir)
-        ob, _ = StudentNet(seed=2).forward(vis, ir)
+        oa = StudentNet(seed=1).forward(vis, ir)
+        ob = StudentNet(seed=2).forward(vis, ir)
         assert not np.array_equal(oa.data, ob.data)
 
 
@@ -563,7 +575,8 @@ class TestGradients:
         target = np.random.default_rng(10).uniform(size=(1, 16, 16))
 
         def build():
-            out, taps = net.forward(vis, ir)
+            taps = []
+            out = net.forward(vis, ir, taps)
             loss = ad.tmean(ad.square(out - Tensor(target)))
             for f in taps:
                 loss = loss + 0.01 * ad.tmean(ad.square(f))

@@ -399,9 +399,9 @@ class TestPairWorkers:
             teacher, student, cfg = slim_setup(seed=24, steps=1)
             real = student.forward
 
-            def nan_for_second(vis, ir, real=real):
-                fused, taps = real(vis, ir)
-                return (ad.sqrt(fused - 2.0) if np.array_equal(vis, second) else fused), taps
+            def nan_for_second(vis, ir, taps=None, real=real):
+                fused = real(vis, ir, taps)
+                return ad.sqrt(fused - 2.0) if np.array_equal(vis, second) else fused
 
             monkeypatch.setattr(student, "forward", nan_for_second)
             with np.errstate(divide="ignore", invalid="ignore"), \
@@ -597,9 +597,8 @@ class TestGuardedOutputs:
         teacher, student, cfg = slim_setup(seed=17, steps=1)
         real = student.forward
 
-        def nan_image(vis, ir):
-            fused, taps = real(vis, ir)
-            return ad.sqrt(fused - 2.0), taps  # sqrt of a negative is NaN
+        def nan_image(vis, ir, taps=None):
+            return ad.sqrt(real(vis, ir, taps) - 2.0)  # sqrt of a negative is NaN
 
         monkeypatch.setattr(student, "forward", nan_image)
         with np.errstate(invalid="ignore"), pytest.raises(TrainingAbort) as err:
