@@ -146,7 +146,7 @@ def trace(root: Tensor) -> list[Tensor]:
     return order
 
 
-# Per thread: the `sink` of `grad_sink`, and whether it is a `dispatch` worker.
+# Per thread: the `sink` of `grad_sink`, and whether it is inside `one_worker`.
 _LOCAL = threading.local()
 
 
@@ -527,32 +527,46 @@ def softmax_rows(a) -> Tensor:
 BLOCK_PX = 4096
 
 
-def _blas_threads() -> int | None:
-    """Threads of the OpenBLAS this process has loaded, or None if unknown."""
+def _openblas(*names: str):
+    """The first of `names` that an OpenBLAS this process has loaded exports, or None."""
     try:
         maps = Path("/proc/self/maps").read_text()
     except OSError:
         return None
     for lib in sorted({line.split()[-1] for line in maps.splitlines() if "openblas" in line}):
-        for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                    "openblas_get_num_threads"):
+        for sym in names:
             fn = getattr(ctypes.CDLL(lib), sym, None)
             if fn is not None:
-                return fn()
+                return fn
     return None
 
 
+def _blas_threads() -> int | None:
+    """Threads of the OpenBLAS this process has loaded, or None if unknown."""
+    fn = _openblas("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                   "openblas_get_num_threads")
+    return None if fn is None else fn()
+
+
+# semfuse does its own parallelism (conv bands, a batch's pairs), so it
+# pins a loaded OpenBLAS to one thread for the whole process. A GEMM's
+# bits can depend on its thread count, so the bytes then do not depend on
+# OPENBLAS_NUM_THREADS. Another BLAS keeps its own count.
+_PIN = _openblas("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                 "openblas_set_num_threads")
+if _PIN is not None:
+    _PIN.argtypes, _PIN.restype = [ctypes.c_int], None
+    _PIN(1)
 # Workers of `dispatch`: one per core this process may run on, but only
 # where BLAS is seen to run one thread; a GEMM that already runs on every
 # core would share them with the other workers' GEMMs. The count is read
-# once, at import.
+# once, at import, after the pin.
 _WORKERS = ((len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1) if _blas_threads() == 1 else 1)
 # At most this many workers, whatever the cores: each conv band group holds
-# its own column buffer and padded rows, and each training pair its own
-# graph, so the peak grows with the workers. A frozen student at 128^2
-# (four bands per 3x3 conv) peaks at 259 float64 per pixel with two groups
-# and 420 with four; its test allows 280.
+# its own column buffer and padded rows, so the peak grows with the
+# workers. A frozen student at 128^2 (four bands per 3x3 conv) peaks at 259
+# float64 per pixel with two groups and 420 with four; its test allows 280.
 MAX_GROUPS = 2
 # The caller of a dispatch is one of its workers, so the pool holds the
 # others. It starts no thread until the first dispatch of more than one task.
@@ -560,8 +574,21 @@ _POOL = ThreadPoolExecutor(MAX_GROUPS - 1, thread_name_prefix="semfuse-band")
 
 
 def workers() -> int:
-    """Tasks `dispatch` runs at once: min(_WORKERS, MAX_GROUPS), or 1 on its own workers."""
+    """Tasks `dispatch` runs at once: min(_WORKERS, MAX_GROUPS), or 1 inside `one_worker`."""
     return 1 if getattr(_LOCAL, "worker", False) else min(_WORKERS, MAX_GROUPS)
+
+
+@contextmanager
+def one_worker():
+    """Inside the block, this thread is one worker of its own: `workers()` is 1
+    and `dispatch` runs its tasks inline. A dispatch task runs inside it, and
+    so does a training pair while another process runs the batch's other
+    pairs."""
+    was, _LOCAL.worker = getattr(_LOCAL, "worker", False), True
+    try:
+        yield
+    finally:
+        _LOCAL.worker = was
 
 
 def dispatch(tasks: list[Callable[[], object]]) -> list:
@@ -573,10 +600,10 @@ def dispatch(tasks: list[Callable[[], object]]) -> list:
     tasks in order, each running under the caller's `np.errstate` (a pool
     thread starts at numpy's default). Once every task has finished, the
     exception of the first failing task, in task order, is raised. A task
-    that dispatches runs its own tasks inline, so no task waits on the pool
-    it runs on and at most MAX_GROUPS threads work. The caller works rather
-    than waits: one fewer thread allocates, which kept 8 MB of malloc arena
-    off the peak RSS of a training step with two pairs in flight.
+    runs inside `one_worker`, so one that dispatches runs its own tasks
+    inline: no task waits on the pool it runs on, and at most MAX_GROUPS
+    threads work. The caller works rather than waits, so one fewer thread
+    allocates.
     """
     n = min(workers(), len(tasks))
     if n < 2:
@@ -586,20 +613,16 @@ def dispatch(tasks: list[Callable[[], object]]) -> list:
     pending, lock = iter(range(len(tasks))), threading.Lock()
 
     def work():
-        was, _LOCAL.worker = getattr(_LOCAL, "worker", False), True
-        try:
-            with np.errstate(call=call, **err):
-                while True:
-                    with lock:
-                        i = next(pending, None)
-                    if i is None:
-                        return
-                    try:
-                        results[i] = tasks[i]()
-                    except Exception as exc:        # raised below, in task order
-                        errors[i] = exc
-        finally:
-            _LOCAL.worker = was
+        with one_worker(), np.errstate(call=call, **err):
+            while True:
+                with lock:
+                    i = next(pending, None)
+                if i is None:
+                    return
+                try:
+                    results[i] = tasks[i]()
+                except Exception as exc:            # raised below, in task order
+                    errors[i] = exc
 
     helpers = [_POOL.submit(work) for _ in range(n - 1)]
     work()

@@ -4,7 +4,7 @@ Configuration is a flat key=value overlay: defaults, then an optional
 config file, then explicit flags, highest last. Every run prints the
 fully resolved configuration before doing anything, so logs are
 self-describing. Exit codes: 0 success, 1 usage, contract or
-out-of-memory error, 2 numerical abort.
+out-of-memory error or a lost pair worker, 2 numerical abort.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import discover_pairs, load_pair, synth_pair
 from .errors import (CheckpointError, ContractError, NonFiniteError,
-                     PnmParseError, TrainingAbort)
+                     PnmParseError, TrainingAbort, WorkerError)
 from .gradcheck import build_suite
 from .imageio import Image, load_image, rgb_to_ycbcr, save_image, ycbcr_to_rgb
 from .instrumentation import delta, snapshot
@@ -128,7 +128,7 @@ def resolve(args: argparse.Namespace) -> RunConfig:
         except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read config file {path}: {exc}") from exc
         overlay.update(parse_config_text(text))
-        taken = _COMMANDS[args.command][2] + _COMMON_KEYS
+        taken = _COMMANDS[args.command][2]
         for key in overlay:
             if key not in taken:
                 raise UsageError(f"config key {key!r} is not a setting of {args.command}")
@@ -345,17 +345,17 @@ def _flag_type(key: str):
 
 
 _ABLATION_KEYS = tuple(f.name for f in fields(Ablations))
-_COMMON_KEYS = ("out", "seed", "quiet")
-# subcommand -> (handler, help, the RunConfig keys it takes besides
-# _COMMON_KEYS); every flag is --key-with-dashes
+# subcommand -> (handler, help, the RunConfig keys it takes, each one read
+# on its path); every flag is --key-with-dashes
 _COMMANDS = {
     "train": (cmd_train, "alternating teacher/student optimization",
               ("data", "synthetic", "steps", "epochs", "pretrain_epochs", "batch",
-               "crop", "lr_main", "lr_sub", "lr_floor") + _ABLATION_KEYS),
-    "fuse": (cmd_fuse, "student-only inference", ("data", "ckpt")),
-    "eval": (cmd_eval, "fusion metrics over fused/source triples", ("data", "fused")),
-    "gradcheck": (cmd_gradcheck, "finite-difference verification suite", ("term",)),
-    "info": (cmd_info, "parameter counts and feature shapes", ("no_z", "no_kv", "no_pr")),
+               "crop", "lr_main", "lr_sub", "lr_floor", "out", "seed", "quiet")
+              + _ABLATION_KEYS),
+    "fuse": (cmd_fuse, "student-only inference", ("data", "ckpt", "out")),
+    "eval": (cmd_eval, "fusion metrics over fused/source triples", ("data", "fused", "out")),
+    "gradcheck": (cmd_gradcheck, "finite-difference verification suite", ("term", "seed")),
+    "info": (cmd_info, "parameter counts and feature shapes", ("no_z", "no_kv", "no_pr", "seed")),
 }
 _FLAG_HELP = {
     "data": {"help": "directory of <stem>.vis.pgm/.ir.pgm pairs"},
@@ -377,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, argument_default=argparse.SUPPRESS,
                            help=help_text)
         p.add_argument("--config", help="key=value config file")
-        for key in keys + _COMMON_KEYS:
+        for key in keys:
             if _TYPES[key] is bool:
                 kind = {"action": "store_true"}
             else:
@@ -409,7 +409,8 @@ def main(argv=None) -> int:
         # first: NonFiniteError is a ContractError
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 2
-    except (UsageError, ContractError, CheckpointError, PnmParseError, OSError) as exc:
+    except (UsageError, ContractError, CheckpointError, PnmParseError, OSError,
+            WorkerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

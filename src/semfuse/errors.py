@@ -31,3 +31,7 @@ class TrainingAbort(RuntimeError):
     def __init__(self, message: str, term: str | None = None):
         super().__init__(message)
         self.term = term
+
+
+class WorkerError(RuntimeError):
+    """The pair worker of a training pass ended or broke its pipe mid-phase."""

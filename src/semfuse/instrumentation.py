@@ -2,26 +2,27 @@
 
 The student-only inference path must never touch the prior provider or
 the attention machinery; `semfuse fuse` snapshots these counters around
-its work and fails loudly if either moved. Training pairs run on several
-threads, so a bump holds a lock: a read-modify-write of the dict is not
-atomic under the interpreter lock.
+its work and fails loudly if either moved. A training pass may run some
+pairs in a forked worker process, which sends its counters' moves back
+for `add`, so the parent's counts are those of a single process.
 """
 from __future__ import annotations
 
-import threading
-
 COUNTERS: dict[str, int] = {"provider": 0, "attention": 0}
-_LOCK = threading.Lock()
 
 
 def bump(name: str) -> None:
-    with _LOCK:
-        COUNTERS[name] = COUNTERS.get(name, 0) + 1
+    COUNTERS[name] = COUNTERS.get(name, 0) + 1
+
+
+def add(moves: dict[str, int]) -> None:
+    """Add the counter moves `delta` gave in another process."""
+    for name, n in moves.items():
+        COUNTERS[name] = COUNTERS.get(name, 0) + n
 
 
 def snapshot() -> dict[str, int]:
-    with _LOCK:
-        return dict(COUNTERS)
+    return dict(COUNTERS)
 
 
 def delta(before: dict[str, int]) -> dict[str, int]:

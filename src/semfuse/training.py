@@ -4,24 +4,33 @@ One alternating step is: teacher update on the full objective with the
 student frozen, then student update on the distillation objective with
 the teacher frozen. First-order only; neither phase unrolls through the
 other's update.
+
+Where `autodiff.workers()` is 2 or more, each training pass forks one
+worker process, which runs the second half of every batch's pairs while
+this process runs the first; the gradients are added in pair order, so
+the bytes are those of one process.
 """
 from __future__ import annotations
 
 import hashlib
 import math
 import operator
+import os
+import signal
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial, reduce
+from multiprocessing import Pipe
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
-from . import losses
+from . import instrumentation, losses
 from .attention import VARIANTS
 from .autodiff import Tensor, frozen
 from .data import random_crop
-from .errors import ContractError, NonFiniteError, TrainingAbort
+from .errors import ContractError, NonFiniteError, TrainingAbort, WorkerError
 from .losses import CSV_HEADER, LossBreakdown
 from .networks import StudentNet, TeacherNet
 from .priors import PriorProvider, make_patches, synth_labels
@@ -183,6 +192,7 @@ class TrainState:
     adam_m: Adam
     adam_s: Adam
     rng: np.random.Generator
+    worker: _PairWorker | None = None               # set by `_pair_worker` for a pass
 
     @property
     def stub(self):
@@ -243,45 +253,171 @@ def _source_context(out: Tensor, vis, ir) -> list:
             for src in (vis, ir)]
 
 
-def _fold(terms_of, pairs) -> tuple:
+def _fold(state: TrainState, terms_of, pairs) -> tuple:
     """Batch mean of per-pair loss terms, backpropagated pair by pair:
-    (float total, float parts).
+    (float total, float parts, mean gap or None).
 
-    `terms_of(*pair)` maps each term name to a graph scalar or a list of
-    them, in the order the terms add; logged terms come in schema order
-    (`losses.TERMS`). Each pair is one `ad.dispatch` task: it builds its
-    terms, sums them in that order, scales by 1/n and backpropagates into
-    a `grad_sink` of its own, so a step holds at most one pair's graph per
-    worker. This thread then adds the sinks into the leaves' `.grad` in
-    pair order: the sums, in the same order, of one pair after another.
-    Each part sums its term over the batch in pair order; the total adds
-    the parts' sums in term order.
+    `terms_of(state, *pair)` gives (terms, gap): each term name mapped to
+    a graph scalar or a list of them, in the order the terms add (logged
+    terms in schema order, `losses.TERMS`), and the pair's gap or None.
+    Each pair builds its terms, sums them in that order, scales by 1/n and
+    backpropagates into a `grad_sink` of its own, so a process holds one
+    pair's graph at a time. With a pass's worker, the worker runs the
+    second half of the pairs while this process runs the first, bands
+    inline, as the two already use both cores. The sinks are then added
+    into the leaves' `.grad` in pair order: the sums, in the same order, of
+    one pair after another. Each part sums its term over the batch in pair
+    order; the total adds the parts' sums in term order.
     """
     inv = 1.0 / len(pairs)
-
-    def run(pair):
-        with ad.grad_sink() as sink:
-            return _backprop_pair(terms_of(*pair), inv), sink
-
-    values = {}
-    for pair_values, sink in ad.dispatch([partial(run, pair) for pair in pairs]):
+    half = len(pairs) - len(pairs) // 2 if state.worker else len(pairs)
+    mine, theirs = pairs[:half], pairs[half:]
+    if theirs:
+        state.worker.submit(terms_of, theirs, inv)
+        with ad.one_worker():
+            done = [_run_pair(state, terms_of, pair, inv) for pair in mine]
+        done += state.worker.collect()
+    else:
+        done = [_run_pair(state, terms_of, pair, inv) for pair in mine]
+    values, gaps = {}, []
+    for pair_values, gap, sink in done:
         ad.apply_sink(sink)
+        gaps.append(gap)
         for key, vals in pair_values.items():
             values.setdefault(key, []).extend(vals)
     sums = {key: reduce(operator.add, vals) for key, vals in values.items()}
     # max with 0: every term is non-negative up to roundoff, and the log
     # rejects negative entries outright
     return (reduce(operator.add, sums.values()) * inv,
-            {key: max(0.0, s * inv) for key, s in sums.items()})
+            {key: max(0.0, s * inv) for key, s in sums.items()},
+            None if gaps[0] is None else float(np.mean(gaps)))
+
+
+def _run_pair(state: TrainState, terms_of, pair, inv: float) -> tuple:
+    """One pair's term values, gap and gradient sink."""
+    with ad.grad_sink() as sink:
+        terms, gap = terms_of(state, *pair)
+        return _backprop_pair(terms, inv), gap, sink
 
 
 def _backprop_pair(terms: dict, inv: float) -> dict:
     """`backward` through one pair's terms summed in order and scaled by
     `inv`; returns each term's float values. The pair's graph is referenced
-    only from this frame, so it is freed when the call returns."""
+    only from here and `_run_pair`, so it is freed when that returns."""
     listed = {k: v if isinstance(v, list) else [v] for k, v in terms.items()}
     ad.backward(reduce(operator.add, [reduce(operator.add, ts) for ts in listed.values()]) * inv)
     return {k: [float(t.data) for t in ts] for k, ts in listed.items()}
+
+
+# ---------------------------------------------------------------------------
+# a pass's pair worker
+
+
+class _PairWorker:
+    """A forked copy of this process that runs pairs of `_fold` for one pass.
+
+    It keeps the fork-time state: the nets, the provider, the config and
+    any function patched in by then. Each task carries the parameters'
+    current values and requires_grad flags (which say which net is
+    frozen), the caller's errstate, the term function and the pairs with
+    their masks; pickle sends a function by name, so a term function is a
+    module-level function or a partial of one. The reply holds each pair's
+    values, gap and sink, parameters given by index, or the first failing
+    pair's error, and the counters' moves, which `collect` adds here.
+
+    The main thread forks it between band dispatches, so the band pool's
+    thread, if it has started, is idle; the worker runs its bands inline
+    and never touches that pool.
+    """
+
+    def __init__(self, state: TrainState):
+        self.params = [*state.teacher.parameters(), *state.student.parameters()]
+        self.conn, theirs = Pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            self.conn.close()
+            code = 1
+            try:
+                with ad.one_worker():                # bands inline: never the band pool
+                    self._serve(state, theirs)
+                code = 0
+            finally:
+                os._exit(code)                       # no exit hooks, no second stdout flush
+        theirs.close()
+
+    def _serve(self, state: TrainState, conn) -> None:
+        """Run tasks until the pipe reaches EOF, as when the parent closes it or dies."""
+        index = {id(p): i for i, p in enumerate(self.params)}
+        while True:
+            try:
+                data, flags, err, terms_of, pairs, inv = conn.recv()
+            except (EOFError, OSError):
+                return
+            for p, d, flag in zip(self.params, data, flags):
+                np.copyto(p.data, d)
+                p.requires_grad = flag
+            before, done, error = instrumentation.snapshot(), [], None
+            with np.errstate(**err):
+                for pair in pairs:
+                    try:
+                        values, gap, sink = _run_pair(state, terms_of, pair, inv)
+                    except Exception as exc:         # raised by the parent, in pair order
+                        error = exc
+                        break
+                    done.append((values, gap, [(index[id(leaf)], g) for leaf, g in sink]))
+            conn.send((done, error, instrumentation.delta(before)))
+
+    def submit(self, terms_of, pairs, inv: float) -> None:
+        self._talk(self.conn.send, ([p.data for p in self.params],
+                                    [p.requires_grad for p in self.params],
+                                    np.geterr(), terms_of, pairs, inv))
+
+    def collect(self) -> list:
+        """The submitted pairs' (values, gap, sink), in order; raises the first one's error."""
+        done, error, moves = self._talk(self.conn.recv)
+        instrumentation.add(moves)
+        if error is not None:
+            raise error
+        return [(values, gap, [(self.params[i], g) for i, g in sink])
+                for values, gap, sink in done]
+
+    def _talk(self, call, *args):
+        try:
+            return call(*args)
+        except (EOFError, OSError) as exc:
+            code = os.waitstatus_to_exitcode(self.close())
+            how = f"signal {-code}" if code < 0 else f"exit status {code}"
+            raise WorkerError(f"the pair worker ended in the middle of a phase ({how})") from exc
+
+    def close(self, kill: bool = False) -> int | None:
+        """Close the pipe and reap the worker, first killing it if `kill`; its wait status."""
+        self.conn.close()
+        if not self.pid:
+            return None
+        if kill:
+            os.kill(self.pid, signal.SIGKILL)
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = 0
+        return status
+
+
+@contextmanager
+def _pair_worker(state: TrainState, per_batch: int):
+    """`state.worker` inside the block, where a batch of `per_batch` pairs can
+    go to two workers and this process can fork; the worker is reaped on
+    every exit, killed first on an error."""
+    if ad.workers() < 2 or per_batch < 2 or not hasattr(os, "fork"):
+        yield
+        return
+    worker = state.worker = _PairWorker(state)
+    try:
+        yield
+    except BaseException:
+        worker.close(kill=True)
+        raise
+    finally:
+        state.worker = None
+        worker.close()
 
 
 def _sample_terms(state: TrainState, vis, ir, mv, mi, need_seg: bool) -> tuple:
@@ -308,22 +444,14 @@ def _sample_terms(state: TrainState, vis, ir, mv, mi, need_seg: bool) -> tuple:
 
 def _batch_objective(state: TrainState, batch, need_seg: bool):
     """Mean loss terms over a batch, backpropagated: (float total, parts, mean gap)."""
-    gaps = [0.0] * len(batch)                       # in pair order, whichever pair ends first
-
-    def terms_of(i, *pair):
-        terms, gaps[i] = _sample_terms(state, *pair, need_seg)
-        return terms
-
-    total, parts = _fold(terms_of, [(i, *pair) for i, pair in
-                                    enumerate(_with_masks(state, batch))])
-    return total, parts, float(np.mean(gaps))
+    return _fold(state, partial(_sample_terms, need_seg=need_seg), _with_masks(state, batch))
 
 
-def _teacher_terms(state: TrainState, vis, ir, mv, mi) -> dict:
-    """Source fidelity plus segmentation of the teacher alone, for one pair."""
+def _teacher_terms(state: TrainState, vis, ir, mv, mi) -> tuple:
+    """Source fidelity plus segmentation of the teacher alone, for one pair: (terms, None)."""
     ref, _ = _teach(state, vis, ir, mv, mi)
     (g_v, m_v), (g_i, m_i) = _source_context(ref, vis, ir)
-    return {"grad": [g_v, g_i], "mse": [m_v, m_i], "seg": _seg(state, ref, mv, mi)}
+    return {"grad": [g_v, g_i], "mse": [m_v, m_i], "seg": _seg(state, ref, mv, mi)}, None
 
 
 def _update(state: TrainState, net, lr: float, objective) -> tuple:
@@ -411,29 +539,30 @@ def _epochs(state: TrainState, pairs, total: int):
 def _run(state: TrainState, pairs, total: int, update, report: TrainReport,
          verbose: bool) -> None:
     """Drive `update` over `total` steps, halting when an epoch mean diverges."""
-    prev_mean = None
-    for epoch in _epochs(state, pairs, total):
-        esub, egap = [], []
-        for step, batch in epoch:
-            out = update(state, batch, step, total)
-            if out is None:
-                continue
-            row, gap = out
-            report.rows.append(row)
-            if verbose:
-                print(f"step={row.step} Lds={row.total_sub:.6f} Ldm={row.total_main:.6f} "
-                      f"lr_m={row.lr_main:.6g} lr_s={row.lr_sub:.6g}", flush=True)
-            if gap is not None:
-                esub.append(row.total_sub)
-                egap.append(gap)
-        if esub:
-            cur = float(np.mean(esub))
-            report.epoch_sub.append(cur)
-            report.epoch_gap.append(float(np.mean(egap)))
-            if diverged(prev_mean, cur):
-                report.diverged = True
-                return
-            prev_mean = cur
+    with _pair_worker(state, min(state.cfg.batch, len(pairs))):
+        prev_mean = None
+        for epoch in _epochs(state, pairs, total):
+            esub, egap = [], []
+            for step, batch in epoch:
+                out = update(state, batch, step, total)
+                if out is None:
+                    continue
+                row, gap = out
+                report.rows.append(row)
+                if verbose:
+                    print(f"step={row.step} Lds={row.total_sub:.6f} Ldm={row.total_main:.6f} "
+                          f"lr_m={row.lr_main:.6g} lr_s={row.lr_sub:.6g}", flush=True)
+                if gap is not None:
+                    esub.append(row.total_sub)
+                    egap.append(gap)
+            if esub:
+                cur = float(np.mean(esub))
+                report.epoch_sub.append(cur)
+                report.epoch_gap.append(float(np.mean(egap)))
+                if diverged(prev_mean, cur):
+                    report.diverged = True
+                    return
+                prev_mean = cur
 
 
 def _alternating_step(state: TrainState, batch, step: int, total: int):
@@ -447,8 +576,8 @@ def _alternating_step(state: TrainState, batch, step: int, total: int):
 
 def _teacher_step(state: TrainState, batch, step: int, total: int):
     lr_m = cosine_lr(step, total, state.cfg.lr_main, state.cfg.lr_floor)
-    _, parts = _update(state, state.teacher, lr_m, lambda: _fold(
-        partial(_teacher_terms, state), _with_masks(state, batch)))
+    _, parts, _ = _update(state, state.teacher, lr_m, lambda: _fold(
+        state, _teacher_terms, _with_masks(state, batch)))
     return LossBreakdown.from_parts(step=step + 1, lr_main=lr_m, lr_sub=0.0, **parts), None
 
 
@@ -485,6 +614,11 @@ def _source_loss(out: Tensor, vis, ir):
     return (g_v + m_v) + (g_i + m_i)
 
 
+def _source_terms(forward, state: TrainState, vis, ir, *masks) -> tuple:
+    """The source loss of `forward`'s output for one pair: (terms, None)."""
+    return {"source": _source_loss(forward(state, vis, ir, *masks), vis, ir)}, None
+
+
 def _teacher_out(state: TrainState, vis, ir, mv, mi) -> Tensor:
     return _teach(state, vis, ir, mv, mi)[0]
 
@@ -497,9 +631,8 @@ def _pretrain_step(state: TrainState, batch, step: int, total: int) -> None:
     """A source-fidelity update of the teacher, then of the student, which draws no masks."""
     for net, forward, pairs in ((state.teacher, _teacher_out, _with_masks(state, batch)),
                                 (state.student, _student_out, batch)):
-        _update(state, net, PRETRAIN_LR, lambda: _fold(
-            lambda vis, ir, *masks: {"source": _source_loss(forward(state, vis, ir, *masks),
-                                                            vis, ir)}, pairs))
+        _update(state, net, PRETRAIN_LR,
+                lambda: _fold(state, partial(_source_terms, forward), pairs))
 
 
 def pretrain(teacher: TeacherNet, student: StudentNet, pairs, cfg: TrainConfig) -> None:

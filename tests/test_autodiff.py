@@ -550,7 +550,7 @@ class TestBandPool:
 
 
 class TestDispatch:
-    """`ad.dispatch` runs a conv's band groups and a training batch's pairs."""
+    """`ad.dispatch` runs a conv's band groups."""
 
     def test_results_come_in_task_order(self, monkeypatch):
         # task 0 holds its thread until the other thread runs task 1, so

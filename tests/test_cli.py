@@ -4,8 +4,10 @@ import math
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
+import time
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -117,14 +119,15 @@ class TestConfig:
 
 ABLATION_FLAGS = {"--no-sam", "--no-z", "--no-kv", "--no-pr",
                   "--no-fea", "--no-cont", "--no-cs", "--offline"}
-# every subcommand's own flags; --config, --out, --seed and --quiet come on top
+# every subcommand's flags; --config comes on top
 COMMAND_FLAGS = {
     "train": {"--data", "--synthetic", "--steps", "--epochs", "--pretrain-epochs",
-              "--batch", "--crop", "--lr-main", "--lr-sub", "--lr-floor"} | ABLATION_FLAGS,
-    "info": {"--no-z", "--no-kv", "--no-pr"},
-    "fuse": {"--data", "--ckpt"},
-    "eval": {"--data", "--fused"},
-    "gradcheck": {"--term"},
+              "--batch", "--crop", "--lr-main", "--lr-sub", "--lr-floor", "--out", "--seed",
+              "--quiet"} | ABLATION_FLAGS,
+    "info": {"--no-z", "--no-kv", "--no-pr", "--seed"},
+    "fuse": {"--data", "--ckpt", "--out"},
+    "eval": {"--data", "--fused", "--out"},
+    "gradcheck": {"--term", "--seed"},
 }
 FUZZ_VALUES = ["-1", "0", "1", "3", "16", "0.5", "nan", "inf", "1e999", "abc", ""]
 
@@ -135,8 +138,7 @@ class TestSettings:
         with pytest.raises(SystemExit):
             main([command, "--help"])
         listed = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
-        assert listed == COMMAND_FLAGS[command] | {
-            "--help", "--config", "--out", "--seed", "--quiet"}
+        assert listed == COMMAND_FLAGS[command] | {"--help", "--config"}
 
     @pytest.mark.parametrize("argv", [
         ("train", "--synthetic", "2", "--seed", "-1"),
@@ -155,7 +157,8 @@ class TestSettings:
                      "build_suite"):
             monkeypatch.setattr(cli, name, no_work)
         out = tmp_path / "run"
-        rc, _, err = run(capsys, *argv, "--out", str(out))
+        # only train writes under --out; info and gradcheck do not take it
+        rc, _, err = run(capsys, *argv, *(("--out", str(out)) if argv[0] == "train" else ()))
         key, value = argv[-2][2:].replace("-", "_"), argv[-1]
         assert rc == 1 and err.startswith("error:"), err
         assert key in err and value in err
@@ -212,8 +215,7 @@ class TestSettings:
 
     @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
     def test_each_command_reads_its_keys(self, command):
-        # every key a command takes besides the common ones is read on its
-        # handler's path: as cfg.<key> in the handler or a cli function it
+        # every key a command takes is read on its handler's path: as cfg.<key> in the handler or a cli function it
         # passes cfg to, or through cfg.ablations() or cfg.to_train_config()
         handler, _help, keys = cli._COMMANDS[command]
         unread = set(keys) - keys_read(handler.__name__)
@@ -253,9 +255,88 @@ def keys_read(function: str) -> set:
     return read
 
 
+def train_in_subprocess(out, env_vars, *args) -> tuple:
+    """(checksum, train.csv, main.ckpt, sub.ckpt) of `semfuse train *args` run
+    by a fresh interpreter with `env_vars` set."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, **env_vars, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "semfuse", "train", *args, "--quiet",
+                           "--out", str(out)],
+                          capture_output=True, text=True, timeout=600, env=env)
+    assert proc.returncode == 0, proc.stderr
+    checksum = re.search(r"checksum=(\w+)$", proc.stdout, re.M).group(1)
+    return (checksum, *((out / name).read_bytes()
+                        for name in ("train.csv", "main.ckpt", "sub.ckpt")))
+
+
 def train_args(out, *extra):
     return ("train", "--synthetic", "2", "--steps", "2", "--batch", "2",
             "--crop", "16", "--seed", "5", "--out", str(out), "--quiet", *extra)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestPairWorkerLifecycle:
+    """A two-worker `semfuse train` forks a pair worker per pass and leaves
+    no process behind, whether it succeeds, aborts or loses the worker."""
+
+    @pytest.fixture(autouse=True)
+    def two_workers(self, monkeypatch):
+        monkeypatch.setattr(ad, "_WORKERS", 2)
+
+    def test_run_reaps_its_worker(self, tmp_path, capsys, monkeypatch):
+        # the pid of every process that computes a fea term, in a file
+        pids, real = tmp_path / "pids", losses_mod.loss_fea
+
+        def fea(*a, **k):
+            with open(pids, "a") as f:
+                f.write(f"{os.getpid()}\n")
+            return real(*a, **k)
+
+        monkeypatch.setattr(losses_mod, "loss_fea", fea)
+        rc, _, err = run(capsys, *train_args(tmp_path / "run"))
+        assert rc == 0 and err == ""
+        assert len(set(pids.read_text().split())) == 2
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("parent_fails", [True, False])
+    def test_abort_exits_2_naming_the_first_failing_pair(self, tmp_path, capsys, monkeypatch,
+                                                         parent_fails):
+        # pair 0 runs here and pair 1 in the worker, which fails first in
+        # time; pair 0's failure, when it comes, is the one named
+        parent, real = os.getpid(), losses_mod.loss_fea
+
+        def fea(*a, **k):
+            if os.getpid() != parent:
+                raise NonFiniteError("pair 1")
+            if parent_fails:
+                time.sleep(0.2)
+                raise NonFiniteError("pair 0")
+            return real(*a, **k)
+
+        monkeypatch.setattr(losses_mod, "loss_fea", fea)
+        rc, _, err = run(capsys, *train_args(tmp_path / "run"))
+        assert rc == 2 and err.startswith("numerical abort:") and "fea" in err
+        assert ("pair 0" if parent_fails else "pair 1") in err
+        assert_no_child_left()
+
+    def test_killed_worker_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        parent, real = os.getpid(), losses_mod.loss_fea
+
+        def fea(*a, **k):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(*a, **k)
+
+        monkeypatch.setattr(losses_mod, "loss_fea", fea)
+        rc, _, err = run(capsys, *train_args(tmp_path / "run"))
+        assert rc == 1
+        assert err == f"error: the pair worker ended in the middle of a phase (signal {signal.SIGKILL})\n"
+        assert_no_child_left()
 
 
 class TestTrain:
@@ -282,24 +363,24 @@ class TestTrain:
         assert blobs[0] == blobs[1]
 
     def test_artifacts_independent_of_hash_seed(self, tmp_path):
-        # the determinism promise: same numpy/BLAS build and BLAS thread
-        # count give the same bytes, whatever the interpreter's hash seed
-        src = str(Path(cli.__file__).resolve().parents[1])
-        results = []
-        for hash_seed in ("1", "2"):
-            out = tmp_path / f"h{hash_seed}"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONHASHSEED=hash_seed,
-                       PYTHONPATH=os.pathsep.join(
-                           p for p in (src, os.environ.get("PYTHONPATH")) if p))
-            proc = subprocess.run(
-                [sys.executable, "-m", "semfuse", "train", "--synthetic", "3",
-                 "--steps", "2", "--batch", "2", "--crop", "16", "--seed", "3",
-                 "--quiet", "--out", str(out)],
-                capture_output=True, text=True, timeout=600, env=env)
-            assert proc.returncode == 0, proc.stderr
-            checksum = re.search(r"checksum=(\w+)$", proc.stdout, re.M).group(1)
-            results.append((checksum, *((out / name).read_bytes()
-                                        for name in ("train.csv", "main.ckpt", "sub.ckpt"))))
+        # the determinism promise: the same numpy/BLAS build gives the same
+        # bytes, whatever the interpreter's hash seed
+        results = [train_in_subprocess(tmp_path / f"h{hash_seed}",
+                                       {"OPENBLAS_NUM_THREADS": "1", "PYTHONHASHSEED": hash_seed},
+                                       "--synthetic", "3", "--steps", "2", "--batch", "2",
+                                       "--crop", "16", "--seed", "3")
+                   for hash_seed in ("1", "2")]
+        assert results[0] == results[1]
+
+    def test_artifacts_independent_of_blas_threads(self, tmp_path):
+        # importing semfuse pins a loaded OpenBLAS to one thread. Without
+        # the pin, two BLAS threads moved sub.ckpt at crop 72, where each
+        # full-size 3x3 conv sums its weight gradient over two blocks
+        results = [train_in_subprocess(tmp_path / f"t{threads}",
+                                       {"OPENBLAS_NUM_THREADS": threads},
+                                       "--synthetic", "2", "--steps", "1", "--batch", "2",
+                                       "--crop", "72", "--seed", "0")
+                   for threads in ("1", "2")]
         assert results[0] == results[1]
 
     def test_offline_completes_with_double_rows(self, tmp_path, capsys):

@@ -1,7 +1,8 @@
 """Optimizer, schedules, alternation phases, and training dynamics."""
+import multiprocessing
 import operator
+import os
 import re
-import threading
 import time
 import tracemalloc
 from functools import reduce
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semfuse import autodiff as ad
+from semfuse import instrumentation
 from semfuse import losses as losses_mod
 from semfuse import training
 from semfuse.autodiff import Tensor
@@ -55,6 +57,19 @@ def source_fidelity(state, pairs) -> tuple:
 
 def param_bytes(net):
     return b"".join(p.data.tobytes() for _, p in net.named_parameters())
+
+
+def shared_counter():
+    """A call counter that counts a run's calls in every process: the pair
+    worker forks with it in shared memory. Each call returns the new count."""
+    n = multiprocessing.Value("i", 0)
+
+    def bump():
+        with n.get_lock():
+            n.value += 1
+            return n.value
+
+    return bump
 
 
 class TestAdam:
@@ -283,50 +298,70 @@ class TestPerPairBackward:
             else:
                 assert np.max(np.abs(seen[name] - g)) <= 1e-12 * np.max(np.abs(g)), name
 
-    def test_step_peak_memory_does_not_grow_with_the_batch(self, monkeypatch):
+    def test_step_peak_memory_does_not_grow_with_the_batch(self, monkeypatch, tmp_path):
         # Traced peak of one main_phase plus sub_phase, slim nets at crop 32.
         # One backward through the whole batch's graph holds every pair's
         # tape: batch 4 peaked at 41.5 MB against 11.5 MB at batch 1 (3.6x).
-        # Pair by pair on one worker, batch 4 reads 1.04x batch 1. Each of
-        # two workers holds one pair's graph, so the peak grows with the
-        # workers, not with the batch: batch 8 against batch 2 reads
-        # 1.02x-1.09x, while batch 4 against batch 1 reads 2.0x. Batch 8
-        # runs first, so the pool thread is up when batch 2's two pairs
-        # start: a batch 2 that waits for it overlaps its pairs less
+        # Pair by pair in one process, batch 4 reads 1.04x batch 1. With a
+        # worker, each process holds one pair's graph at a time, so neither
+        # process's peak grows with the batch. tracemalloc traces each
+        # process on its own (the worker forks with tracing on), so each
+        # process writes its peak to date after every pair's backward.
+        peaks = tmp_path / "peaks"
+        real = training._backprop_pair
+
+        def spy(terms, inv):
+            out = real(terms, inv)
+            with open(peaks, "a") as f:
+                f.write(f"{os.getpid()} {tracemalloc.get_traced_memory()[1]}\n")
+            return out
+
+        monkeypatch.setattr(training, "_backprop_pair", spy)
+
         def peak(n):
             state = make_state(*slim_setup(seed=21, batch=n, crop=32))
             batch = make_pairs(n, h=32, w=32, seed=21)
+            peaks.write_text("")
             tracemalloc.start()
             try:
-                main_phase(state, batch, lr=1e-3)
-                sub_phase(state, batch, lr=1e-3)
-                return tracemalloc.get_traced_memory()[1]
+                with training._pair_worker(state, n):
+                    main_phase(state, batch, lr=1e-3)
+                    sub_phase(state, batch, lr=1e-3)
+                mine = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
+            rows = [line.split() for line in peaks.read_text().splitlines()]
+            theirs = [int(b) for pid, b in rows if pid != str(os.getpid())]
+            return mine, max(theirs, default=None)
 
         monkeypatch.setattr(ad, "_WORKERS", 1)
-        one = {n: peak(n) for n in (1, 4)}
+        one = {n: peak(n)[0] for n in (1, 4)}
         assert one[4] <= 1.5 * one[1], one
         monkeypatch.setattr(ad, "_WORKERS", 2)
         two = {n: peak(n) for n in (8, 2)}
-        assert two[8] <= 1.15 * two[2], two
+        assert two[8][1] is not None and two[2][1] is not None, two
+        assert two[8][0] <= 1.15 * two[2][0], two           # this process
+        assert two[8][1] <= 1.15 * two[2][1], two           # the worker
 
 
 class TestPairWorkers:
-    """A batch's pairs run on two workers with the bits of one worker."""
+    """A batch's pairs run in two processes with the bits of one."""
 
     @pytest.mark.parametrize("ablations,pretrain_epochs", [
         (Ablations(), 0),
         (Ablations(no_sam=True), 0),                    # masks drawn from the run's rng
         (Ablations(no_sam=True, offline=True), 1)])    # pretrain and both offline passes
-    def test_bytes_equal_one_worker(self, monkeypatch, ablations, pretrain_epochs):
+    def test_bytes_equal_one_worker(self, monkeypatch, tmp_path, ablations, pretrain_epochs):
         # 7 x 16 output pixels per band: each pair's 3x3 convs run three bands
         monkeypatch.setattr(ad, "BLOCK_PX", 112)
-        threads = set()
+        # the pid of every process that backpropagates a pair, in a file,
+        # since the worker's memory is its own
+        pids = tmp_path / "pids"
         real = training._backprop_pair
 
         def spy(terms, inv):
-            threads.add(threading.current_thread().name)
+            with open(pids, "a") as f:
+                f.write(f"{os.getpid()}\n")
             return real(terms, inv)
 
         monkeypatch.setattr(training, "_backprop_pair", spy)
@@ -353,7 +388,8 @@ class TestPairWorkers:
             outs.append((list(grads), param_bytes(teacher), param_bytes(student),
                          [r.csv_row() for r in report.rows], report.epoch_gap))
         assert outs[0] == outs[1]
-        assert "MainThread" in threads and any(t.startswith("semfuse-band") for t in threads)
+        ran = set(pids.read_text().split())
+        assert str(os.getpid()) in ran and len(ran) > 1
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("phase", ["main", "sub"])
@@ -372,7 +408,9 @@ class TestPairWorkers:
 
         monkeypatch.setattr(training, "clip_global_norm", snapshot)
         monkeypatch.setattr(ad, "_WORKERS", workers)
-        (main_phase if phase == "main" else sub_phase)(fold_state, batch, lr=1e-3)
+        with training._pair_worker(fold_state, len(batch)):
+            assert (fold_state.worker is not None) == (workers == 2)
+            (main_phase if phase == "main" else sub_phase)(fold_state, batch, lr=1e-3)
         net, other = ((ref_state.teacher, ref_state.student) if phase == "main"
                       else (ref_state.student, ref_state.teacher))
         with frozen(other.parameters()):
@@ -409,6 +447,16 @@ class TestPairWorkers:
                 alternate_train(teacher, student, pairs, cfg, verbose=False)
             terms.append(err.value.term)
         assert terms == ["fea", "fea"]
+
+    def test_counters_move_as_in_one_process(self, monkeypatch):
+        moved = []
+        for workers in (1, 2):
+            monkeypatch.setattr(ad, "_WORKERS", workers)
+            teacher, student, cfg = slim_setup(seed=26, batch=3, steps=2)
+            before = instrumentation.snapshot()
+            alternate_train(teacher, student, make_pairs(3, seed=26), cfg, verbose=False)
+            moved.append(instrumentation.delta(before))
+        assert moved[0] == moved[1] and moved[0]["provider"] and moved[0]["attention"]
 
 
 class TestPretrain:
@@ -530,12 +578,10 @@ class TestAlternate:
         # huge lrs alone never trip the guard here: clipping plus bounded
         # outputs push runs onto a flat plateau instead, so drive the 10x
         # epoch-growth halt through a controlled exploding term
-        calls = {"n": 0}
-        real = losses_mod.loss_fea
+        calls, real = shared_counter(), losses_mod.loss_fea
 
         def exploding(taps, feats):
-            calls["n"] += 1
-            return real(taps, feats) + Tensor(10.0 ** calls["n"])
+            return real(taps, feats) + Tensor(10.0 ** calls())
 
         monkeypatch.setattr(losses_mod, "loss_fea", exploding)
         teacher, student, cfg = slim_setup(seed=17, distill_epochs=8)
@@ -558,12 +604,10 @@ class TestAlternate:
         assert outs[0] == outs[1]
 
     def test_offline_epoch_growth_halts_student_pass(self, monkeypatch):
-        calls = {"n": 0}
-        real = losses_mod.loss_fea
+        calls, real = shared_counter(), losses_mod.loss_fea
 
         def exploding(taps, feats):
-            calls["n"] += 1
-            return real(taps, feats) + Tensor(10.0 ** calls["n"])
+            return real(taps, feats) + Tensor(10.0 ** calls())
 
         monkeypatch.setattr(losses_mod, "loss_fea", exploding)
         teacher, student, cfg = slim_setup(seed=18, batch=4, distill_epochs=6,
