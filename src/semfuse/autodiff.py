@@ -146,23 +146,18 @@ def trace(root: Tensor) -> list[Tensor]:
     return order
 
 
-# Per thread: the `sink` of `grad_sink`, and whether it is inside `one_worker`.
-_LOCAL = threading.local()
-
-
 def backward(root: Tensor, grad: Array | None = None) -> None:
     """Accumulate d(root)/d(node) into `.grad` for every requires_grad leaf.
 
     `root` must be a single element. Repeated calls keep adding into the
     same buffers; call ``zero_grad`` on the leaves to reset between steps.
-    Inside ``grad_sink`` on this thread, each leaf's gradient goes to the
-    sink instead.
+    One call adds into each leaf once, so calls run one after another add
+    their gradients in call order.
     """
     if root.data.size != 1:
         raise ContractError(f"backward needs a scalar root, got shape {root.data.shape}")
     if not root.requires_grad:
         return
-    sink = getattr(_LOCAL, "sink", None)
     seed = np.ones_like(root.data) if grad is None else np.asarray(grad, dtype=np.float64)
     flow: dict[int, Array] = {id(root): seed}
     for node in reversed(trace(root)):
@@ -170,41 +165,12 @@ def backward(root: Tensor, grad: Array | None = None) -> None:
         if g is None:
             continue
         if node._backward is None:
-            if sink is None:
-                _accumulate(node, g)
-            else:
-                sink.append((node, g))
+            node.grad = g.copy() if node.grad is None else node.grad + g
             continue
         for parent, pg in zip(node._parents, node._backward(g)):
             held = flow.get(id(parent))
             flow[id(parent)] = pg if held is None else held + pg
     # Anything left in `flow` is unreachable from the leaves; nothing to do.
-
-
-def _accumulate(leaf: Tensor, g: Array) -> None:
-    leaf.grad = g.copy() if leaf.grad is None else leaf.grad + g
-
-
-@contextmanager
-def grad_sink():
-    """Inside the block, ``backward`` on this thread appends (leaf, gradient)
-    to the yielded list instead of adding into `.grad`.
-
-    ``apply_sink`` adds them later, in the order ``backward`` met them. So
-    sinks filled on several threads and applied one after another in a
-    fixed order give the bits of those ``backward`` calls run in that order.
-    """
-    saved, _LOCAL.sink = getattr(_LOCAL, "sink", None), []
-    try:
-        yield _LOCAL.sink
-    finally:
-        _LOCAL.sink = saved
-
-
-def apply_sink(sink: list) -> None:
-    """Add the gradients of a ``grad_sink`` into their leaves' `.grad`, in order."""
-    for leaf, g in sink:
-        _accumulate(leaf, g)
 
 
 @contextmanager
@@ -557,82 +523,39 @@ _PIN = _openblas("scipy_openblas_set_num_threads64_", "openblas_set_num_threads6
 if _PIN is not None:
     _PIN.argtypes, _PIN.restype = [ctypes.c_int], None
     _PIN(1)
-# Workers of `dispatch`: one per core this process may run on, but only
-# where BLAS is seen to run one thread; a GEMM that already runs on every
-# core would share them with the other workers' GEMMs. The count is read
-# once, at import, after the pin.
+# Band groups a conv runs at once: one per core this process may run on,
+# but only where BLAS is seen to run one thread; a GEMM that already runs
+# on every core would share them with the other groups' GEMMs. The count
+# is read once, at import, after the pin.
 _WORKERS = ((len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1) if _blas_threads() == 1 else 1)
-# At most this many workers, whatever the cores: each conv band group holds
+# At most this many groups, whatever the cores: each conv band group holds
 # its own column buffer and padded rows, so the peak grows with the
-# workers. A frozen student at 128^2 (four bands per 3x3 conv) peaks at 259
+# groups. A frozen student at 128^2 (four bands per 3x3 conv) peaks at 259
 # float64 per pixel with two groups and 420 with four; its test allows 280.
 MAX_GROUPS = 2
-# The caller of a dispatch is one of its workers, so the pool holds the
-# others. It starts no thread until the first dispatch of more than one task.
+# The calling thread runs a conv's first band group, so the pool holds the
+# others. It starts no thread until the first conv of more than one group.
 _POOL = ThreadPoolExecutor(MAX_GROUPS - 1, thread_name_prefix="semfuse-band")
+_ONE = False                                        # inside `one_worker`
 
 
 def workers() -> int:
-    """Tasks `dispatch` runs at once: min(_WORKERS, MAX_GROUPS), or 1 inside `one_worker`."""
-    return 1 if getattr(_LOCAL, "worker", False) else min(_WORKERS, MAX_GROUPS)
+    """Band groups a conv runs at once: min(_WORKERS, MAX_GROUPS), or 1 inside `one_worker`."""
+    return 1 if _ONE else min(_WORKERS, MAX_GROUPS)
 
 
 @contextmanager
 def one_worker():
-    """Inside the block, this thread is one worker of its own: `workers()` is 1
-    and `dispatch` runs its tasks inline. A dispatch task runs inside it, and
-    so does a training pair while another process runs the batch's other
-    pairs."""
-    was, _LOCAL.worker = getattr(_LOCAL, "worker", False), True
+    """Inside the block, `workers()` is 1, so a conv runs all its bands on
+    the calling thread: as a training pass does while its forked pair
+    worker, which runs inside it too, runs the batch's other pairs."""
+    global _ONE
+    was, _ONE = _ONE, True
     try:
         yield
     finally:
-        _LOCAL.worker = was
-
-
-def dispatch(tasks: list[Callable[[], object]]) -> list:
-    """Run every task, a callable taking no arguments; their results in task order.
-
-    With one task or one worker (see `workers`), the tasks run on this
-    thread, in order, and the first exception stops the rest, as in a
-    loop. Otherwise this thread and workers() - 1 pool threads take the
-    tasks in order, each running under the caller's `np.errstate` (a pool
-    thread starts at numpy's default). Once every task has finished, the
-    exception of the first failing task, in task order, is raised. A task
-    runs inside `one_worker`, so one that dispatches runs its own tasks
-    inline: no task waits on the pool it runs on, and at most MAX_GROUPS
-    threads work. The caller works rather than waits, so one fewer thread
-    allocates.
-    """
-    n = min(workers(), len(tasks))
-    if n < 2:
-        return [task() for task in tasks]
-    err, call = np.geterr(), np.geterrcall()
-    results, errors = [None] * len(tasks), [None] * len(tasks)
-    pending, lock = iter(range(len(tasks))), threading.Lock()
-
-    def work():
-        with one_worker(), np.errstate(call=call, **err):
-            while True:
-                with lock:
-                    i = next(pending, None)
-                if i is None:
-                    return
-                try:
-                    results[i] = tasks[i]()
-                except Exception as exc:            # raised below, in task order
-                    errors[i] = exc
-
-    helpers = [_POOL.submit(work) for _ in range(n - 1)]
-    work()
-    wait(helpers)
-    for helper in helpers:
-        helper.result()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return results
+        _ONE = was
 
 
 def _bands(k: int, stride: int, ho: int, wo: int) -> list[tuple[int, int]]:
@@ -672,12 +595,14 @@ def _run_bands(x: Array, k: int, padding: int, stride: int, wo: int,
     zero-padded by `padding`. It is valid only during the call; a 1x1
     stride-1 conv's columns are a view of `x` when unpadded.
 
-    The bands are split into min(workers(), len(bands)) contiguous groups,
-    one `dispatch` task each. The calling thread allocates each group's
-    buffers, one for its band's padded input rows and one for its columns.
-    Groups on different workers overlap their gemm calls, so each writes
-    only its band's part of any shared array. An exception from a band
-    reaches the caller as itself, after every group has finished.
+    The bands are split into min(workers(), len(bands)) contiguous groups.
+    The calling thread allocates each group's buffers, one for its band's
+    padded input rows and one for its columns, and runs group 0 while the
+    pool runs the others under the caller's `np.errstate` (a pool thread
+    starts at numpy's default). Groups overlap their gemm calls, so each
+    writes only its band's part of any shared array. Once every group has
+    finished, the first failing group's exception, in group order, reaches
+    the caller as itself; within a group, it stops the bands after it.
     """
     c, _, wd = x.shape
     rows = bands[0][1] - bands[0][0]
@@ -704,7 +629,19 @@ def _run_bands(x: Array, k: int, padding: int, stride: int, wo: int,
         pad = np.empty((c, stride * (rows - 1) + k, wd + 2 * padding)) if padding else None
         buf = None if k == 1 and stride == 1 else np.empty((c * k * k, rows * wo))
         tasks.append(functools.partial(run_group, group, pad, buf))
-    dispatch(tasks)
+    err, call = np.geterr(), np.geterrcall()
+
+    def pooled(task):
+        with np.errstate(call=call, **err):
+            task()
+
+    helpers = [_POOL.submit(pooled, task) for task in tasks[1:]]
+    try:
+        tasks[0]()
+    finally:
+        wait(helpers)
+    for helper in helpers:
+        helper.result()
 
 
 def _col2im(gcols: Array, c: int, hp: int, wp: int, k: int, stride: int,

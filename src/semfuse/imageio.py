@@ -7,7 +7,6 @@ half away from zero, so 127.5/255 maps back to 128.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,8 +121,7 @@ def save_image(img: Image, path) -> None:
     """Write `img` as binary P5/P6 with the canonical header."""
     magic = b"P5" if img.channels == 1 else b"P6"
     header = magic + f"\n{img.width} {img.height}\n255\n".encode("ascii")
-    tmp = os.fspath(path)
-    with open(tmp, "wb") as fh:
+    with open(path, "wb") as fh:
         fh.write(header)
         fh.write(quantize(img.data).tobytes())
 

@@ -261,13 +261,14 @@ def _fold(state: TrainState, terms_of, pairs) -> tuple:
     a graph scalar or a list of them, in the order the terms add (logged
     terms in schema order, `losses.TERMS`), and the pair's gap or None.
     Each pair builds its terms, sums them in that order, scales by 1/n and
-    backpropagates into a `grad_sink` of its own, so a process holds one
-    pair's graph at a time. With a pass's worker, the worker runs the
-    second half of the pairs while this process runs the first, bands
-    inline, as the two already use both cores. The sinks are then added
-    into the leaves' `.grad` in pair order: the sums, in the same order, of
-    one pair after another. Each part sums its term over the batch in pair
-    order; the total adds the parts' sums in term order.
+    backpropagates into `.grad`, so a process holds one pair's graph at a
+    time. With a pass's worker, the worker runs the second half of the
+    pairs while this process runs the first, bands inline, as the two
+    already use both cores; the worker's per-pair gradients are then added
+    into `.grad` in pair order. So each leaf's gradient is the first pair's,
+    plus the second's, and so on, in one process or two. Each part sums its
+    term over the batch in pair order; the total adds the parts' sums in
+    term order.
     """
     inv = 1.0 / len(pairs)
     half = len(pairs) - len(pairs) // 2 if state.worker else len(pairs)
@@ -280,8 +281,7 @@ def _fold(state: TrainState, terms_of, pairs) -> tuple:
     else:
         done = [_run_pair(state, terms_of, pair, inv) for pair in mine]
     values, gaps = {}, []
-    for pair_values, gap, sink in done:
-        ad.apply_sink(sink)
+    for pair_values, gap in done:
         gaps.append(gap)
         for key, vals in pair_values.items():
             values.setdefault(key, []).extend(vals)
@@ -294,10 +294,9 @@ def _fold(state: TrainState, terms_of, pairs) -> tuple:
 
 
 def _run_pair(state: TrainState, terms_of, pair, inv: float) -> tuple:
-    """One pair's term values, gap and gradient sink."""
-    with ad.grad_sink() as sink:
-        terms, gap = terms_of(state, *pair)
-        return _backprop_pair(terms, inv), gap, sink
+    """One pair's term values and gap; its gradients are added into `.grad`."""
+    terms, gap = terms_of(state, *pair)
+    return _backprop_pair(terms, inv), gap
 
 
 def _backprop_pair(terms: dict, inv: float) -> dict:
@@ -319,15 +318,17 @@ class _PairWorker:
     It keeps the fork-time state: the nets, the provider, the config and
     any function patched in by then. Each task carries the parameters'
     current values and requires_grad flags (which say which net is
-    frozen), the caller's errstate, the term function and the pairs with
-    their masks; pickle sends a function by name, so a term function is a
-    module-level function or a partial of one. The reply holds each pair's
-    values, gap and sink, parameters given by index, or the first failing
-    pair's error, and the counters' moves, which `collect` adds here.
+    frozen), the term function and the pairs with their masks; pickle sends
+    a function by name, so a term function is a module-level function or a
+    partial of one. The worker keeps the errstate of the call that forked
+    it. It clears the parameters' `.grad` before each pair, and the reply
+    holds each pair's values, gap and (parameter index, gradient) for every
+    gradient set, or the first failing pair's error, and the counters'
+    moves, which `collect` adds here.
 
-    The main thread forks it between band dispatches, so the band pool's
-    thread, if it has started, is idle; the worker runs its bands inline
-    and never touches that pool.
+    The main thread forks it between convs, so the band pool's thread, if
+    it has started, is idle; the worker runs its bands inline and never
+    touches that pool.
     """
 
     def __init__(self, state: TrainState):
@@ -347,39 +348,44 @@ class _PairWorker:
 
     def _serve(self, state: TrainState, conn) -> None:
         """Run tasks until the pipe reaches EOF, as when the parent closes it or dies."""
-        index = {id(p): i for i, p in enumerate(self.params)}
         while True:
             try:
-                data, flags, err, terms_of, pairs, inv = conn.recv()
+                data, flags, terms_of, pairs, inv = conn.recv()
             except (EOFError, OSError):
                 return
             for p, d, flag in zip(self.params, data, flags):
                 np.copyto(p.data, d)
                 p.requires_grad = flag
             before, done, error = instrumentation.snapshot(), [], None
-            with np.errstate(**err):
-                for pair in pairs:
-                    try:
-                        values, gap, sink = _run_pair(state, terms_of, pair, inv)
-                    except Exception as exc:         # raised by the parent, in pair order
-                        error = exc
-                        break
-                    done.append((values, gap, [(index[id(leaf)], g) for leaf, g in sink]))
+            for pair in pairs:
+                for p in self.params:
+                    p.zero_grad()
+                try:
+                    values, gap = _run_pair(state, terms_of, pair, inv)
+                except Exception as exc:             # raised by the parent, in pair order
+                    error = exc
+                    break
+                done.append((values, gap, [(i, p.grad) for i, p in enumerate(self.params)
+                                           if p.grad is not None]))
             conn.send((done, error, instrumentation.delta(before)))
 
     def submit(self, terms_of, pairs, inv: float) -> None:
         self._talk(self.conn.send, ([p.data for p in self.params],
                                     [p.requires_grad for p in self.params],
-                                    np.geterr(), terms_of, pairs, inv))
+                                    terms_of, pairs, inv))
 
     def collect(self) -> list:
-        """The submitted pairs' (values, gap, sink), in order; raises the first one's error."""
+        """The submitted pairs' (values, gap), in order, each pair's gradients
+        added into `.grad` in pair order; raises the first failing pair's error."""
         done, error, moves = self._talk(self.conn.recv)
         instrumentation.add(moves)
         if error is not None:
             raise error
-        return [(values, gap, [(self.params[i], g) for i, g in sink])
-                for values, gap, sink in done]
+        for _, _, grads in done:
+            for i, g in grads:
+                p = self.params[i]
+                p.grad = g if p.grad is None else p.grad + g
+        return [(values, gap) for values, gap, _ in done]
 
     def _talk(self, call, *args):
         try:

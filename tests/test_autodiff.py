@@ -5,11 +5,9 @@ independent references in this file (direct-summation convolution,
 extended-precision softmax via mpmath) and frozen here.
 """
 import sys
-import threading
 import time
 import tracemalloc
 import warnings
-from functools import partial
 
 import numpy as np
 import pytest
@@ -530,123 +528,29 @@ class TestBandPool:
 
     def test_band_exception_reaches_caller_as_itself(self, rng, monkeypatch):
         monkeypatch.setattr(ad, "BLOCK_PX", 8)
-        monkeypatch.setattr(ad, "_WORKERS", 2)
         x = rng.normal(size=(2, 8, 8))
-        bands = ad._bands(3, 1, 8, 8)                # 8 bands, 4 per group
-        err, ran = ValueError("band 1"), []
+        bands = ad._bands(3, 1, 8, 8)                # 8 bands, 4 per group on two workers
+        first, last = ValueError("band 1"), ValueError("band 7")
+        # (workers, errors by band, bands that end): on two workers the
+        # other group ends well after band 1's error and before it reaches
+        # the caller, and with both groups failing the first group's error
+        # wins; on one worker no band after the failing one runs
+        for workers, errors, ended in [(2, {1: first}, [0, 1, 4, 5, 6, 7]),
+                                       (2, {1: first, 7: last}, [0, 1, 4, 5, 6, 7]),
+                                       (1, {1: first}, [0, 1])]:
+            monkeypatch.setattr(ad, "_WORKERS", workers)
+            ran = []
 
-        def gemm(b, p0, p1, cols):
-            if b == 1:
-                raise err
-            if b == 7:
-                time.sleep(0.2)                  # the other group ends well after the error
-            ran.append(b)
+            def gemm(b, p0, p1, cols):
+                if b == 7:
+                    time.sleep(0.2)
+                ran.append(b)
+                if b in errors:
+                    raise errors[b]
 
-        with pytest.raises(ValueError) as info:
-            ad._run_bands(x, 3, 1, 1, 8, bands, gemm)
-        assert info.value is err
-        # the other group finished before the error reached the caller
-        assert sorted(ran) == [0, 4, 5, 6, 7]
-
-
-class TestDispatch:
-    """`ad.dispatch` runs a conv's band groups."""
-
-    def test_results_come_in_task_order(self, monkeypatch):
-        # task 0 holds its thread until the other thread runs task 1, so
-        # task 0 finishes after task 1 and on another thread
-        monkeypatch.setattr(ad, "_WORKERS", 2)
-        second = threading.Event()
-
-        def task(i):
-            if i == 0:
-                assert second.wait(timeout=30)
-            if i == 1:
-                second.set()
-            return i, threading.current_thread() is threading.main_thread()
-
-        got = ad.dispatch([partial(task, i) for i in range(3)])
-        assert [i for i, _ in got] == [0, 1, 2] and got[0][1] != got[1][1]
-
-    def test_pooled_tasks_run_under_the_callers_errstate(self, monkeypatch):
-        # a pool thread starts at numpy's default errstate, which warns
-        monkeypatch.setattr(ad, "_WORKERS", 2)
-        big = np.full(3, 1e300)
-
-        def overflow(both):
-            both.wait()                          # one task on each thread
-            return big * big, threading.current_thread() is threading.main_thread()
-
-        with warnings.catch_warnings(), np.errstate(over="ignore"):
-            warnings.simplefilter("error")
-            both = threading.Barrier(2, timeout=30)
-            got = ad.dispatch([partial(overflow, both)] * 2)
-        assert all(np.isposinf(out).all() for out, _ in got)
-        assert sorted(on_main for _, on_main in got) == [False, True]
-        both = threading.Barrier(2, timeout=30)
-        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-            ad.dispatch([partial(overflow, both)] * 2)
-
-    def test_first_failing_task_is_raised_after_every_task_ends(self, monkeypatch):
-        monkeypatch.setattr(ad, "_WORKERS", 2)
-        late, early, ended = ValueError("task 0"), ValueError("task 1"), []
-
-        def fail_late():
-            time.sleep(0.2)
-            ended.append(0)
-            raise late
-
-        def fail_early():
-            ended.append(1)
-            raise early
-
-        def succeed():
-            time.sleep(0.3)
-            ended.append(2)
-
-        with pytest.raises(ValueError) as info:
-            ad.dispatch([fail_late, fail_early, succeed])
-        assert info.value is late and sorted(ended) == [0, 1, 2]
-
-    def test_one_worker_runs_inline_and_stops_at_the_first_failure(self, monkeypatch):
-        monkeypatch.setattr(ad, "_WORKERS", 1)
-        ran = []
-
-        def task(i):
-            ran.append((i, threading.current_thread() is threading.main_thread()))
-            if i == 1:
-                raise ValueError(i)
-
-        with pytest.raises(ValueError):
-            ad.dispatch([partial(task, i) for i in range(3)])
-        assert ran == [(0, True), (1, True)]
-
-    def test_dispatch_from_a_worker_runs_inline(self, monkeypatch):
-        # an inner dispatch that waited on the one pool thread from that
-        # thread would wait for itself
-        monkeypatch.setattr(ad, "_WORKERS", 2)
-
-        def inner():
-            return threading.current_thread().name
-
-        first_two = threading.Barrier(2, timeout=30)
-
-        def outer(i):
-            if i < 2:
-                first_two.wait()                 # one of them on the pool thread
-            return inner(), ad.dispatch([inner, inner]), ad.workers()
-
-        got = []
-        caller = threading.Thread(
-            target=lambda: got.extend(ad.dispatch([partial(outer, i) for i in range(3)])),
-            name="caller", daemon=True)
-        caller.start()
-        caller.join(timeout=60)
-        assert not caller.is_alive() and len(got) == 3
-        for name, inner_names, workers in got:
-            assert inner_names == [name, name] and workers == 1
-        assert {name for name, _, _ in got} == {"caller", "semfuse-band_0"}
-        assert ad.workers() == 2                 # the flag is the worker's own
+            with pytest.raises(ValueError) as info:
+                ad._run_bands(x, 3, 1, 1, 8, bands, gemm)
+            assert info.value is first and sorted(ran) == ended
 
 
 def conv_chain(x, w, b, padding, stride, leaky):

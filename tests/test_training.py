@@ -394,10 +394,10 @@ class TestPairWorkers:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("phase", ["main", "sub"])
     def test_grads_equal_a_loop_of_backward_calls(self, monkeypatch, phase, workers):
-        # the loop the sinks replaced: each pair's backward adds into .grad
-        # before the next pair is built, so g1, then + g2, then + g3
-        batch = make_pairs(3, seed=25)
-        fold_state, ref_state = (make_state(*slim_setup(seed=25, batch=3)) for _ in range(2))
+        # a loop of backward calls, each pair's adding into .grad before the
+        # next pair is built: g1, then + g2, then + g3. At batch 3 the worker
+        # runs one pair per phase; at batch 4 it runs two, so a worker that
+        # kept one pair's .grad into the next would add it twice.
         seen = {}
         real_clip = training.clip_global_norm
 
@@ -408,17 +408,21 @@ class TestPairWorkers:
 
         monkeypatch.setattr(training, "clip_global_norm", snapshot)
         monkeypatch.setattr(ad, "_WORKERS", workers)
-        with training._pair_worker(fold_state, len(batch)):
-            assert (fold_state.worker is not None) == (workers == 2)
-            (main_phase if phase == "main" else sub_phase)(fold_state, batch, lr=1e-3)
-        net, other = ((ref_state.teacher, ref_state.student) if phase == "main"
-                      else (ref_state.student, ref_state.teacher))
-        with frozen(other.parameters()):
-            for pair in training._with_masks(ref_state, batch):
-                terms, _ = training._sample_terms(ref_state, *pair, phase == "main")
-                training._backprop_pair(terms, 1.0 / len(batch))
-        want = {p.name: p.grad.tobytes() for p in net.parameters() if p.grad is not None}
-        assert want and seen == want
+        for n in (3, 4):
+            batch = make_pairs(n, seed=25)
+            fold_state, ref_state = (make_state(*slim_setup(seed=25, batch=n)) for _ in range(2))
+            seen.clear()
+            with training._pair_worker(fold_state, len(batch)):
+                assert (fold_state.worker is not None) == (workers == 2)
+                (main_phase if phase == "main" else sub_phase)(fold_state, batch, lr=1e-3)
+            net, other = ((ref_state.teacher, ref_state.student) if phase == "main"
+                          else (ref_state.student, ref_state.teacher))
+            with frozen(other.parameters()):
+                for pair in training._with_masks(ref_state, batch):
+                    terms, _ = training._sample_terms(ref_state, *pair, phase == "main")
+                    training._backprop_pair(terms, 1.0 / len(batch))
+            want = {p.name: p.grad.tobytes() for p in net.parameters() if p.grad is not None}
+            assert want and seen == want, n
 
     def test_abort_names_the_first_failing_pair(self, monkeypatch):
         # pair 0 fails late (its fea term), pair 1 early (its student forward):
