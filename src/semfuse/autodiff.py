@@ -12,7 +12,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from pathlib import Path
 from contextlib import contextmanager
@@ -493,14 +492,15 @@ def softmax_rows(a) -> Tensor:
 BLOCK_PX = 4096
 
 
-def _openblas(*names: str):
-    """The first of `names` that an OpenBLAS this process has loaded exports, or None."""
+def _openblas(name: str):
+    """`openblas_<name>` of an OpenBLAS this process has loaded, under any of
+    its manglings, or None."""
     try:
         maps = Path("/proc/self/maps").read_text()
     except OSError:
         return None
     for lib in sorted({line.split()[-1] for line in maps.splitlines() if "openblas" in line}):
-        for sym in names:
+        for sym in (f"scipy_openblas_{name}64_", f"openblas_{name}64_", f"openblas_{name}"):
             fn = getattr(ctypes.CDLL(lib), sym, None)
             if fn is not None:
                 return fn
@@ -509,17 +509,23 @@ def _openblas(*names: str):
 
 def _blas_threads() -> int | None:
     """Threads of the OpenBLAS this process has loaded, or None if unknown."""
-    fn = _openblas("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                   "openblas_get_num_threads")
+    fn = _openblas("get_num_threads")
     return None if fn is None else fn()
+
+
+def _blas_config() -> str | None:
+    """The loaded OpenBLAS's build line (version, options, core), or None if unknown."""
+    fn = _openblas("get_config")
+    if fn is not None:
+        fn.restype = ctypes.c_char_p
+    return None if fn is None else " ".join(fn().decode().split())
 
 
 # semfuse does its own parallelism (conv bands, a batch's pairs), so it
 # pins a loaded OpenBLAS to one thread for the whole process. A GEMM's
 # bits can depend on its thread count, so the bytes then do not depend on
 # OPENBLAS_NUM_THREADS. Another BLAS keeps its own count.
-_PIN = _openblas("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
-                 "openblas_set_num_threads")
+_PIN = _openblas("set_num_threads")
 if _PIN is not None:
     _PIN.argtypes, _PIN.restype = [ctypes.c_int], None
     _PIN(1)
@@ -586,18 +592,19 @@ def _pad_rows(x: Array, padding: int, r0: int, r1: int, buf: Array) -> Array:
 
 
 def _run_bands(x: Array, k: int, padding: int, stride: int, wo: int,
-               bands: list[tuple[int, int]], gemm: Callable) -> None:
-    """Call gemm(b, p0, p1, cols) for every band b of a conv over the map `x`.
+               bands: list[tuple[int, int]], gemm: Callable, part_rows: int = 0) -> None:
+    """Call gemm(b, p0, p1, cols, part) for every band b of a conv over the map `x`.
 
     `cols` holds the im2col columns of output pixels p0:p1 (the band's
     whole rows): row (c, di, dj) holds xp[c, di + stride*i, dj + stride*j]
     for the pixels (i, j) of the band, in row-major order, where xp is `x`
     zero-padded by `padding`. It is valid only during the call; a 1x1
-    stride-1 conv's columns are a view of `x` when unpadded.
+    stride-1 conv's columns are a view of `x` when unpadded. `part` is the
+    group's (part_rows, band pixels) scratch, or None if `part_rows` is 0.
 
     The bands are split into min(workers(), len(bands)) contiguous groups.
-    The calling thread allocates each group's buffers, one for its band's
-    padded input rows and one for its columns, and runs group 0 while the
+    The calling thread allocates each group's buffers (its band's padded
+    input rows, its columns and its scratch) and runs group 0 while the
     pool runs the others under the caller's `np.errstate` (a pool thread
     starts at numpy's default). Groups overlap their gemm calls, so each
     writes only its band's part of any shared array. Once every group has
@@ -607,7 +614,7 @@ def _run_bands(x: Array, k: int, padding: int, stride: int, wo: int,
     c, _, wd = x.shape
     rows = bands[0][1] - bands[0][0]
 
-    def run_group(group, pad, buf):
+    def run_group(group, pad, buf, part):
         for b, (i0, i1) in group:
             r0, r1 = stride * i0, stride * (i1 - 1) + k
             src = _pad_rows(x, padding, r0, r1, pad) if padding else x[:, r0:r1]
@@ -620,7 +627,7 @@ def _run_bands(x: Array, k: int, padding: int, stride: int, wo: int,
                     writeable=False)
                 cols = buf[:, :(i1 - i0) * wo]
                 cols.reshape(c, k, k, i1 - i0, wo)[...] = win
-            gemm(b, i0 * wo, i1 * wo, cols)
+            gemm(b, i0 * wo, i1 * wo, cols, part)
 
     numbered, n_groups = list(enumerate(bands)), min(workers(), len(bands))
     tasks = []
@@ -628,7 +635,8 @@ def _run_bands(x: Array, k: int, padding: int, stride: int, wo: int,
         group = numbered[len(bands) * g // n_groups:len(bands) * (g + 1) // n_groups]
         pad = np.empty((c, stride * (rows - 1) + k, wd + 2 * padding)) if padding else None
         buf = None if k == 1 and stride == 1 else np.empty((c * k * k, rows * wo))
-        tasks.append(functools.partial(run_group, group, pad, buf))
+        part = np.empty((part_rows, rows * wo)) if part_rows else None
+        tasks.append(functools.partial(run_group, group, pad, buf, part))
     err, call = np.geterr(), np.geterrcall()
 
     def pooled(task):
@@ -665,7 +673,7 @@ def conv_into(x: Array, w: Array, out: Array, padding: int, stride: int,
     `out` (C_out, H_out*W_out), without a tape, on the band workers.
 
     Each band of `_run_bands` writes its GEMM into its columns of `out`,
-    or if `add` adds it through one scratch per band group. Then, in
+    or if `add` adds it through its band group's scratch. Then, in
     place, the band's first len(bias) rows (all rows if `bias` is None)
     get the bias and, if `leaky`, max(o, LEAKY_SLOPE*o). So each element
     sees a conv, `+` and `leaky_relu` in that order. A bool `mask` of
@@ -677,13 +685,10 @@ def conv_into(x: Array, w: Array, out: Array, padding: int, stride: int,
     bands = _bands(k, stride, ho, wo)
     w2 = w.reshape(cout, -1)
     done = out if bias is None else out[:len(bias)]
-    scratch = threading.local()                     # one per thread, so per running group
 
-    def band(_, p0, p1, cols):
+    def band(_, p0, p1, cols, part):
         if add:
-            if not hasattr(scratch, "part"):
-                scratch.part = np.empty((cout, (bands[0][1] - bands[0][0]) * wo))
-            out[:, p0:p1] += np.matmul(w2, cols, out=scratch.part[:, :p1 - p0])
+            out[:, p0:p1] += np.matmul(w2, cols, out=part[:, :p1 - p0])
         else:
             np.matmul(w2, cols, out=out[:, p0:p1])
         o = done[:, p0:p1]
@@ -697,7 +702,7 @@ def conv_into(x: Array, w: Array, out: Array, padding: int, stride: int,
             for row in o:
                 np.maximum(row, LEAKY_SLOPE * row, out=row)
 
-    _run_bands(x, k, padding, stride, wo, bands, band)
+    _run_bands(x, k, padding, stride, wo, bands, band, cout if add else 0)
 
 
 def conv_input_grad(g: Array, w: Array, x_shape: tuple[int, int, int], padding: int,
@@ -726,7 +731,7 @@ def conv_weight_grad(g: Array, x: Array, k: int, padding: int, stride: int) -> A
     g2 = g.reshape(cout, ho * wo)
     parts = np.empty((len(bands), cout, cin * k * k))
 
-    def weight_band(i, p0, p1, cols):
+    def weight_band(i, p0, p1, cols, _):
         np.matmul(g2[:, p0:p1], cols.T, out=parts[i])
 
     _run_bands(x, k, padding, stride, wo, bands, weight_band)

@@ -1,9 +1,9 @@
 """Command-line surface: train, fuse, eval, gradcheck, info.
 
 Configuration is a flat key=value overlay: defaults, then an optional
-config file, then explicit flags, highest last. Every run prints the
-fully resolved configuration before doing anything, so logs are
-self-describing. Exit codes: 0 success, 1 usage, contract or
+config file, then explicit flags, highest last. Every run prints its
+command, the settings it takes and the loaded BLAS before doing anything,
+so logs are self-describing. Exit codes: 0 success, 1 usage, contract or
 out-of-memory error or a lost pair worker, 2 numerical abort.
 """
 from __future__ import annotations
@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .autodiff import _blas_config, _blas_threads
 from .data import discover_pairs, load_pair, synth_pair
 from .errors import (CheckpointError, ContractError, NonFiniteError,
                      PnmParseError, TrainingAbort, WorkerError)
@@ -149,14 +150,13 @@ def resolve(args: argparse.Namespace) -> RunConfig:
 
 
 def _echo(cfg: RunConfig) -> None:
+    """command=, each key the command takes, sorted, then the loaded BLAS."""
     print(f"command={cfg.command}")
-    for f in sorted(fields(RunConfig), key=lambda f: f.name):
-        if f.name == "command":
-            continue
-        val = getattr(cfg, f.name)
-        if isinstance(val, bool):
-            val = "true" if val else "false"
-        print(f"{f.name}={val}")
+    for key in sorted(_COMMANDS[cfg.command][2]):
+        val = getattr(cfg, key)
+        print(f"{key}={str(val).lower() if isinstance(val, bool) else val}")
+    for key, val in (("blas", _blas_config()), ("blas_threads", _blas_threads())):
+        print(f"{key}={'unknown' if val is None else val}")
 
 
 # ---------------------------------------------------------------------------

@@ -330,16 +330,10 @@ MAGIC = b"SMFUSE01"
 
 
 def save_checkpoint(path, net: ParamModule) -> None:
-    blob = bytearray()
-    blob += MAGIC
-    blob += bytes.fromhex(net.config_digest())
+    blob = bytearray(MAGIC + bytes.fromhex(net.config_digest()))
     for name, t in net.named_parameters():
-        enc = name.encode()
-        blob += struct.pack("<H", len(enc))
-        blob += enc
-        blob += struct.pack("<B", t.data.ndim)
-        for dim in t.data.shape:
-            blob += struct.pack("<I", dim)
+        enc, shape = name.encode(), t.data.shape
+        blob += struct.pack(f"<H{len(enc)}sB{len(shape)}I", len(enc), enc, len(shape), *shape)
         blob += t.data.astype("<f8").tobytes()
     with open(path, "wb") as fh:
         fh.write(bytes(blob))

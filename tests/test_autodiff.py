@@ -403,7 +403,7 @@ def band_columns(x, k, padding, stride, ho, wo):
     """[(p0, p1, cols)] of every band `ad._run_bands` hands out, in band order."""
     got = {}
 
-    def record(b, p0, p1, cols):
+    def record(b, p0, p1, cols, _part):
         got[b] = (p0, p1, cols.copy())           # the group's next band reuses the buffer
 
     ad._run_bands(x, k, padding, stride, wo, ad._bands(k, stride, ho, wo), record)
@@ -445,7 +445,7 @@ class TestIm2col:
         x = rng.normal(size=(4, 5, 6))
         seen = []
         ad._run_bands(x, 1, 0, 1, 6, ad._bands(1, 1, 5, 6),
-                      lambda b, p0, p1, cols: seen.append((b, p0, p1, np.shares_memory(cols, x))))
+                      lambda b, p0, p1, cols, _part: seen.append((b, p0, p1, np.shares_memory(cols, x))))
         assert seen == [(0, 0, 30, True)]
 
 
@@ -519,7 +519,7 @@ class TestBandPool:
         x = rng.normal(size=(2, 8, 8))
         buffers = {}
 
-        def gemm(b, p0, p1, cols):
+        def gemm(b, p0, p1, cols, _part):
             buffers[b] = cols.ctypes.data        # each group reuses one column buffer
 
         ad._run_bands(x, 3, 1, 1, 8, ad._bands(3, 1, 8, 8), gemm)
@@ -541,7 +541,7 @@ class TestBandPool:
             monkeypatch.setattr(ad, "_WORKERS", workers)
             ran = []
 
-            def gemm(b, p0, p1, cols):
+            def gemm(b, p0, p1, cols, _part):
                 if b == 7:
                     time.sleep(0.2)
                 ran.append(b)
