@@ -3,11 +3,11 @@
 The repository is built once per input pair: source features are
 projected to a latent token matrix Z, and keys/values are projected from
 Z. Every attention stage then reads the same repository; queries come
-from per-modality patch features. Ablation variants bypass the latent
-projection (keys/values straight from source features), the key/value
-projections (attend against Z itself), or the repository entirely
-(self-attention: each stage attends to a `no_z` repository of its own
-query features).
+from per-modality patch features. A stage's own projections decide the
+repository it builds: without a latent one Z is the raw source tokens
+(`no_z`); without key/value ones keys and values are Z itself (`no_kv`).
+Under `no_pr` each stage attends to the `no_z` repository of its own
+query features.
 """
 from __future__ import annotations
 
@@ -58,9 +58,9 @@ class AttentionParams:
     """Parameters for one attention stage.
 
     Query projections are modality specific; head recombination and the
-    two-modality merge are shared. Repository projections (latent Z,
-    keys, values) exist only on the stage that owns repository
-    construction, or on every stage for the repository-free variant.
+    two-modality merge are shared. Repository projections (latent Z if
+    `own_z`, keys and values if `own_kv`) exist only on a stage that builds
+    a repository, and `build_repository` uses whichever of them it has.
     """
 
     def __init__(self, rng: np.random.Generator, d: int, c_in: int, heads: int,
@@ -104,32 +104,20 @@ class PersistentRepository:
         return h.hexdigest()
 
 
-def build_repository(f_src: Tensor, p: AttentionParams, variant: str = "full") -> PersistentRepository:
+def build_repository(f_src: Tensor, p: AttentionParams) -> PersistentRepository:
     """Project (c, H, W) source features into the token repository.
 
-    `no_z` keeps the raw source tokens as the latent matrix; `no_kv`
-    degrades keys and values to the latent matrix itself.
+    Z is `p.z_proj` of the source tokens, or the raw tokens when the stage
+    owns no latent projection; keys and values are `p.kv_k(Z)` and
+    `p.kv_v(Z)`, or Z itself when the stage owns no key/value projections.
     """
     bump("attention")
-    if variant not in ("full", "no_z", "no_kv"):
-        raise ContractError(f"unknown repository variant {variant!r}")
     c, h, w = f_src.shape
+    if p.z_proj is None and c != p.d:
+        raise ShapeError(f"no latent projection: source channels {c} != token width {p.d}")
     tokens = ad.reshape(f_src, (c, h * w))
-    if variant == "no_z":
-        z = tokens
-        if c != p.d:
-            raise ShapeError(f"no_z needs source channels {c} == token width {p.d}")
-    else:
-        if p.z_proj is None:
-            raise ContractError("this stage does not own a latent projection")
-        z = p.z_proj(tokens)
-    if variant == "no_kv":
-        k, v = z, z
-    else:
-        if p.kv_k is None:
-            raise ContractError("this stage does not own key/value projections")
-        k = p.kv_k(z)
-        v = p.kv_v(z)
+    z = tokens if p.z_proj is None else p.z_proj(tokens)
+    k, v = (z, z) if p.kv_k is None else (p.kv_k(z), p.kv_v(z))
     return PersistentRepository(z=z, k=k, v=v)
 
 
@@ -192,16 +180,15 @@ def cross_attend(f_q: Tensor, repo: PersistentRepository | None, p: AttentionPar
 
     Queries are projected from (c, H, W) features; each head computes
     softmax(Q_h^T K_h / sqrt(head_dim)) V_h^T over repository tokens, all
-    heads in one tape node. With `repo=None` the features attend to
-    themselves through a `no_z` repository of their own (the
-    repository-free ablation). `weights_sink` receives each head's
-    (T_q, T_k) weights as a constant.
+    heads in one tape node. With `repo=None` the features attend to the
+    repository the stage builds from them (the repository-free ablation).
+    `weights_sink` receives each head's (T_q, T_k) weights as a constant.
     """
     bump("attention")
     if modality not in ("vis", "ir"):
         raise ContractError(f"modality must be 'vis' or 'ir', got {modality!r}")
     if repo is None:
-        repo = build_repository(f_q, p, variant="no_z")
+        repo = build_repository(f_q, p)
     c, h, w = f_q.shape
     q = (p.q_vis if modality == "vis" else p.q_ir)(ad.reshape(f_q, (c, h * w)))
     out = p.attn_out(_attend(q, repo.k, repo.v, p.head_dim, weights_sink))

@@ -4,11 +4,12 @@ Configuration is a flat key=value overlay: defaults, then an optional
 config file, then explicit flags, highest last. Every run prints its
 command, the settings it takes and the loaded BLAS before doing anything,
 so logs are self-describing. Exit codes: 0 success, 1 usage, contract or
-out-of-memory error or a lost pair worker, 2 numerical abort.
+out-of-memory error, lost pair worker or closed stdout, 2 numerical abort.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 import warnings
@@ -404,17 +405,26 @@ def main(argv=None) -> int:
         with (np.errstate(over="ignore", invalid="ignore", divide="ignore"),
               warnings.catch_warnings()):
             warnings.showwarning = _print_warning
-            return _COMMANDS[cfg.command][0](cfg)
+            code = _COMMANDS[cfg.command][0](cfg)
+    except BrokenPipeError:
+        code = 1                    # first: it is an OSError; stdout is mended below
     except (TrainingAbort, NonFiniteError) as exc:
         # first: NonFiniteError is a ContractError
         print(f"numerical abort: {exc}", file=sys.stderr)
-        return 2
+        code = 2
     except (UsageError, ContractError, CheckpointError, PnmParseError, OSError,
             WorkerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        code = 1
     except MemoryError as exc:
         detail = f": {exc}" if str(exc) else ""
         print(f"error: out of memory in semfuse {getattr(args, 'command', '')}{detail}",
               file=sys.stderr)
-        return 1
+        code = 1
+    try:
+        sys.stdout.flush()          # a closed stdout fails here, not at interpreter exit
+    except BrokenPipeError:
+        # its reader has gone, so no one is told; the exit flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    return code

@@ -189,30 +189,19 @@ def build_suite(seed: int = 0) -> list:
         def run():
             rng_local, rand = stream(name)
             d, grid = 8, 6
-            p = AttentionParams(rng_local, d, d, 2, 4, "stage0",
-                                own_z=True, own_kv=True)
+            p = AttentionParams(rng_local, d, d, 2, 4, "stage0", *OWNS[variant])
             fv, fi, src = rand(d, grid, grid), rand(d, grid, grid), rand(d, grid, grid)
 
             def build():
-                repo = (None if variant == "no_pr"
-                        else build_repository(src, p, variant=variant))
+                repo = None if variant == "no_pr" else build_repository(src, p)
                 merged, av, ai = attention_stage(fv, fi, repo, p)
                 return net_scalar(merged, [av, ai])
-            own_z, own_kv = OWNS[variant]
-            used = [p.q_vis, p.q_ir, p.attn_out, p.merge]
-            if own_z:
-                used.append(p.z_proj)
-            if own_kv:
-                used += [p.kv_k, p.kv_v]
             wrt = {"feats_vis": fv, "feats_ir": fi}
             if variant != "no_pr":
                 wrt["src"] = src
-            for blk in used:
-                wrt[blk.w.name] = blk.w
-                if blk.b is not None:
-                    wrt[blk.b.name] = blk.b
+            wrt.update(p.named())
             # larger step than the default: at 1e-5 FD roundoff alone broke
-            # the bound (attn_no_kv, seed 4: 1.1e-4; 7.2e-7 at 1e-4)
+            # the bound (attn_no_z, seed 5: 1.3e-4; 1.2e-5 at 1e-4)
             return check_scalar_fn(name, build, wrt, h=1e-4, seed=seed)
         return run
 

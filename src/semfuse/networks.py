@@ -242,10 +242,8 @@ class TeacherNet(ParamModule):
         if not patches_vis or not patches_ir:
             raise ContractError(f"empty patch list: {len(patches_vis)} vis, {len(patches_ir)} ir")
         _, h, w = vis.shape
-        repo = None
-        if self.shared_repo:
-            repo = build_repository(self._encode_pair(vis, ir), self.stages[0],
-                                    variant=self.cfg.variant)
+        repo = (build_repository(self._encode_pair(vis, ir), self.stages[0])
+                if self.shared_repo else None)
         cur_vis = self._encode_patches(patches_vis, "vis")
         cur_ir = self._encode_patches(patches_ir, "ir")
         feats = []

@@ -740,6 +740,30 @@ class TestInfo:
         assert proc.returncode == 0
         assert "sub total" in proc.stdout
 
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    @pytest.mark.parametrize("argv, err", [
+        (["info"], ""),
+        (["eval", "--data", "{missing}"], "error: no image pairs found in {missing}\n")],
+        ids=["info", "eval-missing-data"])
+    def test_closed_stdout_exits_1(self, tmp_path, argv, err, unbuffered):
+        # the read end is closed before the child starts, so its first write
+        # to stdout fails: unbuffered, the echo's first print, before the
+        # command runs; buffered, the final flush, after any error line
+        missing = tmp_path / "none"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "semfuse", *(a.format(missing=missing) for a in argv)],
+                stdout=write, stderr=subprocess.PIPE, env=env, timeout=300)
+        finally:
+            os.close(write)
+        assert proc.returncode == 1
+        assert proc.stderr.decode() == ("" if unbuffered else err.format(missing=missing))
+
 
 class TestFuseNonFinite:
     def test_overflowing_checkpoint_exits_2_naming_the_pair(self, tmp_path, capsys):
