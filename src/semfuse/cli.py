@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import select
 import sys
 import time
 import warnings
@@ -392,6 +393,17 @@ def _print_warning(message, *_where) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
+def _stdout_gone() -> bool:
+    """Whether stdout is a pipe whose reader has gone: a broken pipe there is
+    not another pipe's (an `--out` FIFO) and has no one to report to."""
+    try:
+        poll = select.poll()
+        poll.register(sys.stdout, select.POLLOUT)
+    except (AttributeError, OSError, ValueError):       # no poll(), or no descriptor
+        return False
+    return any(events & (select.POLLERR | select.POLLHUP) for _, events in poll.poll(0))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = None
@@ -406,15 +418,14 @@ def main(argv=None) -> int:
               warnings.catch_warnings()):
             warnings.showwarning = _print_warning
             code = _COMMANDS[cfg.command][0](cfg)
-    except BrokenPipeError:
-        code = 1                    # first: it is an OSError; stdout is mended below
     except (TrainingAbort, NonFiniteError) as exc:
         # first: NonFiniteError is a ContractError
         print(f"numerical abort: {exc}", file=sys.stderr)
         code = 2
     except (UsageError, ContractError, CheckpointError, PnmParseError, OSError,
             WorkerError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if not (isinstance(exc, BrokenPipeError) and _stdout_gone()):
+            print(f"error: {exc}", file=sys.stderr)     # else no one is left to tell
         code = 1
     except MemoryError as exc:
         detail = f": {exc}" if str(exc) else ""

@@ -275,9 +275,11 @@ def _fold(state: TrainState, terms_of, pairs) -> tuple:
     mine, theirs = pairs[:half], pairs[half:]
     if theirs:
         state.worker.submit(terms_of, theirs, inv)
-    done = [_run_pair(state, terms_of, pair, inv) for pair in mine]
-    if theirs:
+        with ad.one_worker():
+            done = [_run_pair(state, terms_of, pair, inv) for pair in mine]
         done += state.worker.collect()
+    else:
+        done = [_run_pair(state, terms_of, pair, inv) for pair in mine]
     values, gaps = {}, []
     for pair_values, gap in done:
         gaps.append(gap)
@@ -325,8 +327,8 @@ class _PairWorker:
     moves, which `collect` adds here.
 
     The main thread forks it between convs, so the band pool's thread, if
-    it has started, is idle; the worker inherits `ad.one_worker()`, so it
-    runs its bands inline and never touches that pool.
+    it has started, is idle; the worker runs its bands inline and never
+    touches that pool.
     """
 
     def __init__(self, state: TrainState):
@@ -337,7 +339,8 @@ class _PairWorker:
             self.conn.close()
             code = 1
             try:
-                self._serve(state, theirs)
+                with ad.one_worker():                # bands inline: never the band pool
+                    self._serve(state, theirs)
                 code = 0
             finally:
                 os._exit(code)                       # no exit hooks, no second stdout flush
@@ -408,21 +411,19 @@ class _PairWorker:
 def _pair_worker(state: TrainState, per_batch: int):
     """`state.worker` inside the block, where a batch of `per_batch` pairs can
     go to two workers and this process can fork; the worker is reaped on
-    every exit, killed first on an error. The block and the worker, which
-    inherits it, run inside `ad.one_worker()`."""
+    every exit, killed first on an error."""
     if ad.workers() < 2 or per_batch < 2 or not hasattr(os, "fork"):
         yield
         return
-    with ad.one_worker():
-        worker = state.worker = _PairWorker(state)
-        try:
-            yield
-        except BaseException:
-            worker.close(kill=True)
-            raise
-        finally:
-            state.worker = None
-            worker.close()
+    worker = state.worker = _PairWorker(state)
+    try:
+        yield
+    except BaseException:
+        worker.close(kill=True)
+        raise
+    finally:
+        state.worker = None
+        worker.close()
 
 
 def _sample_terms(state: TrainState, vis, ir, mv, mi, need_seg: bool) -> tuple:

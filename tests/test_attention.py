@@ -147,6 +147,10 @@ class TestCrossAttend:
                            + [None if g is None else g.tobytes() for g in grads])
         assert results[0][1] is not None
         assert results[0] == results[1]
+        # and what no_pr wires is a no_z stage: Z is the raw query tokens
+        assert OWNS["no_pr"] == OWNS["no_z"]
+        p, f = variant_params("no_pr"), rand_feats(30)
+        assert np.array_equal(build_repository(f, p).z.data, f.data.reshape(D, -1))
 
     def test_bad_modality_rejected(self):
         p = make_params()

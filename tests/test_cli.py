@@ -734,6 +734,14 @@ class TestInfo:
         assert err.count("\n") == 1 and err.startswith("error: out of memory in semfuse info")
         assert "Traceback" not in err
 
+    def test_another_pipes_break_is_an_error_line(self, capfd, monkeypatch):
+        # stdout is still read, so the pipe that broke was another's
+        def widowed(_cfg):
+            raise BrokenPipeError(32, "Broken pipe")
+        monkeypatch.setitem(cli._COMMANDS, "info", (widowed,) + cli._COMMANDS["info"][1:])
+        assert main(["info"]) == 1
+        assert capfd.readouterr().err == "error: [Errno 32] Broken pipe\n"
+
     def test_module_entrypoint(self):
         proc = subprocess.run([sys.executable, "-m", "semfuse", "info"],
                               capture_output=True, text=True, timeout=300)
