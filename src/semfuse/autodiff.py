@@ -537,7 +537,7 @@ _WORKERS = ((len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1) if _blas_threads() == 1 else 1)
 # At most this many groups, whatever the cores: each conv band group holds
 # its own column buffer and padded rows, so the peak grows with the
-# groups. A frozen student at 128^2 (four bands per 3x3 conv) peaks at 259
+# groups. A frozen student at 128^2 (four bands per conv) peaks at 259
 # float64 per pixel with two groups and 420 with four; its test allows 280.
 MAX_GROUPS = 2
 # The calling thread runs a conv's first band group, so the pool holds the
@@ -564,14 +564,13 @@ def one_worker():
         _ONE = was
 
 
-def _bands(k: int, stride: int, ho: int, wo: int) -> list[tuple[int, int]]:
-    """(i0, i1) output-row spans of a conv's bands, in order.
+def _bands(ho: int, wo: int) -> list[tuple[int, int]]:
+    """(i0, i1) spans of the bands of a conv's (ho, wo) output, in order.
 
-    A band is max(1, BLOCK_PX // wo) whole output rows, so a row wider than
-    BLOCK_PX is a band of its own. A 1x1 stride-1 conv is one band: its
-    columns are its input, and splitting them would reshape its GEMM.
+    A band is max(1, BLOCK_PX // wo) whole output rows, whatever the
+    kernel, so a row wider than BLOCK_PX is a band of its own.
     """
-    band = ho if k == 1 and stride == 1 else min(ho, max(1, BLOCK_PX // wo))
+    band = min(ho, max(1, BLOCK_PX // wo))
     return [(i0, min(i0 + band, ho)) for i0 in range(0, ho, band)]
 
 
@@ -598,8 +597,7 @@ def _run_bands(x: Array, k: int, padding: int, stride: int, wo: int,
     `cols` holds the im2col columns of output pixels p0:p1 (the band's
     whole rows): row (c, di, dj) holds xp[c, di + stride*i, dj + stride*j]
     for the pixels (i, j) of the band, in row-major order, where xp is `x`
-    zero-padded by `padding`. It is valid only during the call; a 1x1
-    stride-1 conv's columns are a view of `x` when unpadded. `part` is the
+    zero-padded by `padding`. It is valid only during the call. `part` is the
     group's (part_rows, band pixels) scratch, or None if `part_rows` is 0.
 
     The bands are split into min(workers(), len(bands)) contiguous groups.
@@ -618,15 +616,12 @@ def _run_bands(x: Array, k: int, padding: int, stride: int, wo: int,
         for b, (i0, i1) in group:
             r0, r1 = stride * i0, stride * (i1 - 1) + k
             src = _pad_rows(x, padding, r0, r1, pad) if padding else x[:, r0:r1]
-            if buf is None:                         # 1x1 stride 1: the rows are the columns
-                cols = src.reshape(c, -1)
-            else:
-                sc, sh, sw = src.strides
-                win = np.lib.stride_tricks.as_strided(
-                    src, (c, k, k, i1 - i0, wo), (sc, sh, sw, stride * sh, stride * sw),
-                    writeable=False)
-                cols = buf[:, :(i1 - i0) * wo]
-                cols.reshape(c, k, k, i1 - i0, wo)[...] = win
+            sc, sh, sw = src.strides
+            win = np.lib.stride_tricks.as_strided(
+                src, (c, k, k, i1 - i0, wo), (sc, sh, sw, stride * sh, stride * sw),
+                writeable=False)
+            cols = buf[:, :(i1 - i0) * wo]
+            cols.reshape(c, k, k, i1 - i0, wo)[...] = win
             gemm(b, i0 * wo, i1 * wo, cols, part)
 
     numbered, n_groups = list(enumerate(bands)), min(workers(), len(bands))
@@ -634,7 +629,7 @@ def _run_bands(x: Array, k: int, padding: int, stride: int, wo: int,
     for g in range(n_groups):
         group = numbered[len(bands) * g // n_groups:len(bands) * (g + 1) // n_groups]
         pad = np.empty((c, stride * (rows - 1) + k, wd + 2 * padding)) if padding else None
-        buf = None if k == 1 and stride == 1 else np.empty((c * k * k, rows * wo))
+        buf = np.empty((c * k * k, rows * wo))
         part = np.empty((part_rows, rows * wo)) if part_rows else None
         tasks.append(functools.partial(run_group, group, pad, buf, part))
     err, call = np.geterr(), np.geterrcall()
@@ -682,7 +677,7 @@ def conv_into(x: Array, w: Array, out: Array, padding: int, stride: int,
     """
     cout, _, k, _ = w.shape
     ho, wo = (_out_side(n, k, padding, stride) for n in x.shape[1:])
-    bands = _bands(k, stride, ho, wo)
+    bands = _bands(ho, wo)
     w2 = w.reshape(cout, -1)
     done = out if bias is None else out[:len(bias)]
 
@@ -727,7 +722,7 @@ def conv_weight_grad(g: Array, x: Array, k: int, padding: int, stride: int) -> A
     """
     cout, cin = g.shape[0], x.shape[0]
     ho, wo = (_out_side(n, k, padding, stride) for n in x.shape[1:])
-    bands = _bands(k, stride, ho, wo)
+    bands = _bands(ho, wo)
     g2 = g.reshape(cout, ho * wo)
     parts = np.empty((len(bands), cout, cin * k * k))
 

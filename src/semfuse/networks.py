@@ -186,8 +186,7 @@ def dense_block(x: Tensor, layer_params: list[tuple[Tensor, Tensor]],
         flat = [gx]
         for l in range(n_layers):
             p = pre[start[l + 1] - c0:start[l + 2] - c0]
-            flat += [gws[l], ad._unbroadcast(p, (len(p), 1, 1)).reshape(len(p))
-                     if needed[2 + 2 * l] else None]
+            flat += [gws[l], p.sum(axis=(1, 2)) if needed[2 + 2 * l] else None]
         return tuple(gr for gr, n in zip(flat, needed) if n)
 
     return ad._node(out, tuple(t for t, n in zip(leaves, needed) if n), grads)

@@ -406,7 +406,7 @@ def band_columns(x, k, padding, stride, ho, wo):
     def record(b, p0, p1, cols, _part):
         got[b] = (p0, p1, cols.copy())           # the group's next band reuses the buffer
 
-    ad._run_bands(x, k, padding, stride, wo, ad._bands(k, stride, ho, wo), record)
+    ad._run_bands(x, k, padding, stride, wo, ad._bands(ho, wo), record)
     return [got[b] for b in sorted(got)]
 
 
@@ -430,23 +430,18 @@ class TestIm2col:
 
     @pytest.mark.parametrize("block_px", [5, 7, 35])
     def test_blocks_are_bands_of_whole_rows(self, rng, monkeypatch, block_px):
-        # 9x6 output pixels: a row wider than BLOCK_PX is a band of its
-        # own, and at 35 the last band holds the 4 rows left over
+        # 9x6 output pixels, for a 1x1 kernel as for a 3x3: a row wider
+        # than BLOCK_PX is a band of its own, and at 35 the last band holds
+        # the 4 rows left over
         monkeypatch.setattr(ad, "BLOCK_PX", block_px)
         ho, wo = 9, 6
-        x = rng.normal(size=(2, ho + 2, wo + 2))
-        spans = [(p0, p1) for p0, p1, _ in band_columns(x, 3, 0, 1, ho, wo)]
-        assert all(p0 % wo == 0 and p1 % wo == 0 for p0, p1 in spans), spans
-        assert all(p1 - p0 == max(1, block_px // wo) * wo for p0, p1 in spans[:-1]), spans
-
-    def test_pointwise_window_is_a_view(self, rng, monkeypatch):
-        # one band, whatever BLOCK_PX says
-        monkeypatch.setattr(ad, "BLOCK_PX", 7)
-        x = rng.normal(size=(4, 5, 6))
-        seen = []
-        ad._run_bands(x, 1, 0, 1, 6, ad._bands(1, 1, 5, 6),
-                      lambda b, p0, p1, cols, _part: seen.append((b, p0, p1, np.shares_memory(cols, x))))
-        assert seen == [(0, 0, 30, True)]
+        for k in (1, 3):
+            x = rng.normal(size=(2, ho + k - 1, wo + k - 1))
+            spans = [(p0, p1) for p0, p1, _ in band_columns(x, k, 0, 1, ho, wo)]
+            assert len(spans) == {5: 9, 7: 9, 35: 2}[block_px], (k, spans)
+            assert all(p0 % wo == 0 and p1 % wo == 0 for p0, p1 in spans), (k, spans)
+            assert all(p1 - p0 == max(1, block_px // wo) * wo
+                       for p0, p1 in spans[:-1]), (k, spans)
 
 
 def conv_and_weight_grad(x, w, padding, stride, g):
@@ -502,7 +497,7 @@ class TestBandPool:
         with warnings.catch_warnings(), np.errstate(over="ignore"):
             warnings.simplefilter("error")
             out = ad.conv2d(ad.Tensor(x), ad.Tensor(w), padding=1)
-        assert len(ad._bands(3, 1, 9, 9)) == 9 and np.isposinf(out.data).all()
+        assert len(ad._bands(9, 9)) == 9 and np.isposinf(out.data).all()
 
     def test_errstate_callback_runs_for_a_worker_overflow(self, monkeypatch):
         monkeypatch.setattr(ad, "BLOCK_PX", 7)
@@ -522,14 +517,14 @@ class TestBandPool:
         def gemm(b, p0, p1, cols, _part):
             buffers[b] = cols.ctypes.data        # each group reuses one column buffer
 
-        ad._run_bands(x, 3, 1, 1, 8, ad._bands(3, 1, 8, 8), gemm)
+        ad._run_bands(x, 3, 1, 1, 8, ad._bands(8, 8), gemm)
         assert len(set(buffers.values())) == ad.MAX_GROUPS == 2
         assert buffers[0] == buffers[3] != buffers[4] == buffers[7]
 
     def test_band_exception_reaches_caller_as_itself(self, rng, monkeypatch):
         monkeypatch.setattr(ad, "BLOCK_PX", 8)
         x = rng.normal(size=(2, 8, 8))
-        bands = ad._bands(3, 1, 8, 8)                # 8 bands, 4 per group on two workers
+        bands = ad._bands(8, 8)                      # 8 bands, 4 per group on two workers
         first, last = ValueError("band 1"), ValueError("band 7")
         # (workers, errors by band, bands that end): on two workers the
         # other group ends well after band 1's error and before it reaches

@@ -44,7 +44,7 @@ with open(out, "wb") as f, frozen(net.parameters()):
     for _, vis, ir in discover_pairs(data):
         f.write(net.forward(*load_pair(vis, ir)[:2]).data.tobytes())
 """
-# each 3x3 conv of the student runs several row bands at these sizes, the
+# each conv of the student runs several row bands at these sizes, the
 # last one partial
 FUSE_SIDES = [(97, 131), (300, 211), (129, 515)]
 
@@ -103,7 +103,7 @@ def fuse_floats(work: Path, cores, env_vars, data: Path, ckpt: Path) -> dict:
 
 # row: (what runs, its arguments, the variants checked against the reference)
 ROWS = {
-    # 72x72 crops: each full-size 3x3 conv runs two bands (5,184 output
+    # 72x72 crops: each full-size conv runs two bands (5,184 output
     # pixels), so its weight rule sums over two blocks; at batch 2 the
     # second pair runs in the pass's pair worker
     "alternating": (train, ("--synthetic", "2", "--crop", "72", "--steps", "1", "--batch", "2"),

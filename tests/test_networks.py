@@ -255,7 +255,7 @@ class TestInferenceMemory:
         assert per_pixel <= 600, f"{per_pixel:.0f} float64 per pixel"
 
     def test_frozen_student_peak_over_several_blocks_is_bounded_per_pixel(self):
-        # at 128^2 each 3x3 conv runs four 4,096-pixel bands in
+        # at 128^2 each conv runs four 4,096-pixel bands in
         # MAX_GROUPS = 2 groups, each with its own column buffer and padded
         # rows. The pass holds one full-height block buffer, and the next
         # one only while the transition writes into its first rows. The
