@@ -57,21 +57,20 @@ class Linear:
 class AttentionParams:
     """Parameters for one attention stage.
 
-    Query projections are modality specific; head recombination and the
+    Its features and tokens are `d` = heads x head_dim wide. Query
+    projections are modality specific; head recombination and the
     two-modality merge are shared. Repository projections (latent Z if
     `own_z`, keys and values if `own_kv`) exist only on a stage that builds
     a repository, and `build_repository` uses whichever of them it has.
     """
 
-    def __init__(self, rng: np.random.Generator, d: int, c_in: int, heads: int,
-                 head_dim: int, prefix: str, own_z: bool, own_kv: bool):
-        if heads * head_dim != d:
-            raise ContractError(f"token width {d} != heads {heads} x head_dim {head_dim}")
-        self.d = d
+    def __init__(self, rng: np.random.Generator, heads: int, head_dim: int, prefix: str,
+                 own_z: bool, own_kv: bool):
+        d = self.d = heads * head_dim
         self.heads = heads
         self.head_dim = head_dim
-        self.q_vis = Linear(rng, d, c_in, f"{prefix}.q_vis")
-        self.q_ir = Linear(rng, d, c_in, f"{prefix}.q_ir")
+        self.q_vis = Linear(rng, d, d, f"{prefix}.q_vis")
+        self.q_ir = Linear(rng, d, d, f"{prefix}.q_ir")
         self.attn_out = Linear(rng, d, d, f"{prefix}.attn_out")
         self.merge = Linear(rng, d, 2 * d, f"{prefix}.merge")
         self.z_proj = Linear(rng, d, d, f"{prefix}.z") if own_z else None
@@ -208,6 +207,6 @@ def attention_stage(vis_feats: Tensor, ir_feats: Tensor,
     av = cross_attend(vis_feats, repo, p, "vis")
     ai = cross_attend(ir_feats, repo, p, "ir")
     d, h, w = av.shape
-    both = ad.concat([ad.reshape(av, (d, h * w)), ad.reshape(ai, (d, h * w))], axis=0)
+    both = ad.concat([ad.reshape(av, (d, h * w)), ad.reshape(ai, (d, h * w))])
     merged = ad.reshape(p.merge(both), (d, h, w))
     return merged, av, ai

@@ -48,10 +48,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ContractError(f"item() needs a single element, got shape {self.data.shape}")
@@ -349,19 +345,20 @@ def transpose2d(a) -> Tensor:
     return _from_op(a.data.T.copy(), (a, lambda g: g.T))
 
 
-def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
+def concat(parts: Iterable[Tensor]) -> Tensor:
+    """The parts stacked along their first axis."""
     parts = [_as_tensor(p) for p in parts]
     if not parts:
         raise ContractError("concat of an empty sequence")
-    out = np.concatenate([p.data for p in parts], axis=axis)
+    out = np.concatenate([p.data for p in parts])
 
     def part_rule(lo: int, hi: int):
-        return lambda g: np.ascontiguousarray(np.split(g, [lo, hi], axis=axis)[1])
+        return lambda g: np.ascontiguousarray(g[lo:hi])
 
     edges, lo = [], 0
     for p in parts:
-        edges.append((p, part_rule(lo, lo + p.data.shape[axis])))
-        lo += p.data.shape[axis]
+        edges.append((p, part_rule(lo, lo + p.data.shape[0])))
+        lo += p.data.shape[0]
     return _from_op(out, *edges)
 
 
@@ -413,14 +410,14 @@ def upsample_nearest2(a) -> Tensor:
     return _from_op(out, (a, lambda g: g.reshape(c, h, 2, w, 2).sum(axis=(2, 4))))
 
 
-def pad_replicate(a, pad: int = 1) -> Tensor:
-    """Edge-replicating spatial padding of a (C, H, W) tensor."""
+def pad_replicate(a) -> Tensor:
+    """One pixel of edge-replicating spatial padding around a (C, H, W) tensor."""
     a = _as_tensor(a)
     if a.data.ndim != 3:
         raise ShapeError(f"pad_replicate needs (C, H, W), got shape {a.data.shape}")
     c, h, w = a.data.shape
-    ih = np.clip(np.arange(-pad, h + pad), 0, h - 1)
-    iw = np.clip(np.arange(-pad, w + pad), 0, w - 1)
+    ih = np.clip(np.arange(-1, h + 1), 0, h - 1)
+    iw = np.clip(np.arange(-1, w + 1), 0, w - 1)
     out = a.data[:, ih[:, None], iw[None, :]]
 
     def rule(g):
@@ -788,7 +785,19 @@ def conv2d(x, w, b=None, padding: int = 0, stride: int = 1, leaky: bool = False,
                     (lambda g: g * np.where(mask.reshape(cout, ho, wo), 1.0, LEAKY_SLOPE)))
 
 
-def _sobel_core(xp: Tensor, h: int, w: int) -> Tensor:
+def sobel(x) -> Tensor:
+    """Two-channel Sobel response of a (1, H, W) tensor with replicate padding.
+
+    Channel 0 responds to horizontal intensity change (vertical edges),
+    channel 1 to vertical change; cross-correlation convention.
+    """
+    x = _as_tensor(x)
+    if x.data.ndim != 3 or x.data.shape[0] != 1:
+        raise ShapeError(f"sobel needs a (1, H, W) tensor, got shape {x.data.shape}")
+    if x.data.shape[1] < 3 or x.data.shape[2] < 3:
+        raise ShapeError(f"sobel needs at least 3x3 input, got shape {x.data.shape}")
+    _, h, w = x.data.shape
+    xp = pad_replicate(x)
     # Separable form with the neighbour difference taken first. Equal
     # neighbours cancel exactly, so constants map to exact zeros instead
     # of accumulating BLAS rounding residue.
@@ -817,17 +826,3 @@ def _sobel_core(xp: Tensor, h: int, w: int) -> Tensor:
         return gp[None]
 
     return _from_op(out, (xp, rule))
-
-
-def sobel(x) -> Tensor:
-    """Two-channel Sobel response of a (1, H, W) tensor with replicate padding.
-
-    Channel 0 responds to horizontal intensity change (vertical edges),
-    channel 1 to vertical change; cross-correlation convention.
-    """
-    x = _as_tensor(x)
-    if x.data.ndim != 3 or x.data.shape[0] != 1:
-        raise ShapeError(f"sobel needs a (1, H, W) tensor, got shape {x.data.shape}")
-    if x.data.shape[1] < 3 or x.data.shape[2] < 3:
-        raise ShapeError(f"sobel needs at least 3x3 input, got shape {x.data.shape}")
-    return _sobel_core(pad_replicate(x, 1), x.data.shape[1], x.data.shape[2])

@@ -311,8 +311,8 @@ def cmd_info(cfg: RunConfig) -> int:
         print(f"{label} total {param_count(net)}")
     vis, ir = synth_pair(cfg.seed, 32, 32)
     provider = PriorProvider()
-    masks_vis = provider.masks_for(vis, "vis")
-    masks_ir = provider.masks_for(ir, "ir")
+    masks_vis = provider.masks_for(vis)
+    masks_ir = provider.masks_for(ir)
     with frozen(teacher.parameters()), frozen(student.parameters()):
         ref, feats = teacher.forward(vis, ir, make_patches(vis, masks_vis),
                                      make_patches(ir, masks_ir))

@@ -80,7 +80,7 @@ def build_suite(seed: int = 0) -> list:
     from .networks import StudentConfig, StudentNet, TeacherConfig, TeacherNet
     from .priors import PriorProvider, random_rect_masks
 
-    slim_t = TeacherConfig(base_channels=4, token_width=8, stages=3, heads=2, head_dim=4)
+    slim_t = TeacherConfig(base_channels=4, heads=2, head_dim=4)
     slim_s = StudentConfig(stem_channels=8, growth=4, layers_per_block=4, blocks=3,
                            tap_width=8)
 
@@ -133,8 +133,8 @@ def build_suite(seed: int = 0) -> list:
         mask_rng, rand = stream("cs")
         vis_np, ir_np = synth_pair(seed, 16, 16)
         provider = PriorProvider()
-        mv = random_rect_masks(vis_np, 3, mask_rng, "vis")
-        mi = random_rect_masks(ir_np, 3, mask_rng, "ir")
+        mv = random_rect_masks(vis_np, 3, mask_rng)
+        mi = random_rect_masks(ir_np, 3, mask_rng)
         ref, fus, vis, ir = (rand(1, 16, 16) for _ in range(4))
 
         def build():
@@ -188,9 +188,8 @@ def build_suite(seed: int = 0) -> list:
         # gradients drown in FD roundoff.
         def run():
             rng_local, rand = stream(name)
-            d, grid = 8, 6
-            p = AttentionParams(rng_local, d, d, 2, 4, "stage0", *OWNS[variant])
-            fv, fi, src = rand(d, grid, grid), rand(d, grid, grid), rand(d, grid, grid)
+            p = AttentionParams(rng_local, 2, 4, "stage0", *OWNS[variant])
+            fv, fi, src = (rand(p.d, 6, 6) for _ in range(3))
 
             def build():
                 repo = None if variant == "no_pr" else build_repository(src, p)

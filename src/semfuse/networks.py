@@ -1,9 +1,9 @@
 """Teacher and student fusion networks.
 
 The teacher encodes the stacked source pair, builds the persistent
-repository once, runs the configured number of attention stages over
-per-modality patch features, and decodes the final stage to a fused
-image; under `no_pr` it has neither repository nor source encoder. The
+repository once, runs its STAGES attention stages over per-modality
+patch features, and decodes the final stage to a fused image; under
+`no_pr` it has neither repository nor source encoder. The
 student is a compact stem / dense-block / transition stack with a
 sigmoid head; 1x1 stride-2 adapters expose per-block features in the
 same shape as the teacher's per-stage features so the distillation terms
@@ -30,23 +30,20 @@ from .autodiff import Tensor
 from .errors import CheckpointError, ContractError, ShapeError
 
 
+# Attention stages of the teacher, as many as the student has blocks.
+STAGES = 3
+
+
 @dataclass(frozen=True)
 class TeacherConfig:
     base_channels: int = 16
-    token_width: int = 32          # channel width of source features and attention tokens
-    stages: int = 3
     heads: int = 4
     head_dim: int = 8
     variant: str = "full"          # full | no_z | no_kv | no_pr
 
     def __post_init__(self):
-        if self.heads * self.head_dim != self.token_width:
-            raise ContractError(
-                f"token_width {self.token_width} != heads {self.heads} x head_dim {self.head_dim}")
         if self.variant not in VARIANTS:
             raise ContractError(f"unknown attention variant {self.variant!r}")
-        if self.stages < 1:
-            raise ContractError("need at least one attention stage")
 
 
 @dataclass(frozen=True)
@@ -55,7 +52,7 @@ class StudentConfig:
     growth: int = 16
     layers_per_block: int = 4
     blocks: int = 3
-    tap_width: int = 32            # adapter output channels, matches teacher token_width
+    tap_width: int = 32            # the teacher's token width, heads x head_dim
 
 
 class ParamModule:
@@ -201,7 +198,7 @@ class TeacherNet(ParamModule):
         super().__init__()
         self.cfg = cfg
         rng = np.random.default_rng(seed)
-        cb, d = cfg.base_channels, cfg.token_width
+        cb, d = cfg.base_channels, cfg.heads * cfg.head_dim
         self.shared_repo = cfg.variant != "no_pr"
         if self.shared_repo:
             self.enc1 = self._conv(rng, "enc1", cb, 2, 3)
@@ -211,18 +208,18 @@ class TeacherNet(ParamModule):
         self.pir1 = self._conv(rng, "patch_ir1", cb, 1, 3)
         self.pir2 = self._conv(rng, "patch_ir2", d, cb, 3)
         self.stages: list[AttentionParams] = []
-        for m in range(cfg.stages):
+        for m in range(STAGES):
             builds = m == 0 or not self.shared_repo    # no_pr: every stage builds one
             own_z, own_kv = OWNS[cfg.variant] if builds else (False, False)
-            p = AttentionParams(rng, d, d, cfg.heads, cfg.head_dim,
-                                f"stage{m}", own_z=own_z, own_kv=own_kv)
+            p = AttentionParams(rng, cfg.heads, cfg.head_dim, f"stage{m}",
+                                own_z=own_z, own_kv=own_kv)
             self.stages.append(p)
             self._adopt(p.named())
         self.dec1 = self._conv(rng, "dec1", cb, d, 3)
         self.dec2 = self._conv(rng, "dec2", 1, cb, 3)
 
     def _encode_pair(self, vis: Tensor, ir: Tensor) -> Tensor:
-        h = ad.conv2d(ad.concat([vis, ir], axis=0), *self.enc1, padding=1, leaky=True)
+        h = ad.conv2d(ad.concat([vis, ir]), *self.enc1, padding=1, leaky=True)
         return ad.conv2d(h, *self.enc2, padding=1, stride=2, leaky=True)
 
     def _encode_patches(self, patches: list, which: str) -> Tensor:
@@ -295,7 +292,7 @@ class StudentNet(ParamModule):
         sc = self.cfg.stem_channels
         shape = (sc + self.cfg.growth * self.cfg.layers_per_block, h * w)
         buf = np.empty(shape)
-        cur = ad.conv2d(ad.concat([vis, ir], axis=0), *self.stem, padding=1, leaky=True,
+        cur = ad.conv2d(ad.concat([vis, ir]), *self.stem, padding=1, leaky=True,
                         out=buf[:sc])
         for layers, adapter, transition in zip(self.blocks, self.adapters, self.transitions):
             blocked = dense_block(cur, layers, buf)

@@ -35,9 +35,7 @@ class MaskSet:
     """Binary region masks for one source image, largest area first."""
 
     masks: list[np.ndarray]
-    source_modality: str
     areas: list[int]
-    degenerate: bool = False
 
     def __post_init__(self):
         for m in self.masks:
@@ -88,14 +86,13 @@ def _components(binary: np.ndarray) -> list[tuple[int, int, np.ndarray]]:
     return out
 
 
-def generate_masks(img: np.ndarray, top_k: int, min_area: int,
-                   modality: str) -> MaskSet:
+def generate_masks(img: np.ndarray, top_k: int, min_area: int) -> MaskSet:
     """Region masks from Otsu + 4-connected components, both polarities.
 
     Components of the foreground and the background are pooled, filtered
     by `min_area`, and the `top_k` largest kept (ties broken by first
-    pixel in row-major order). When nothing survives, a single whole-image
-    mask is returned with `degenerate=True`.
+    pixel in row-major order). When nothing survives, or the image has no
+    contrast, a single whole-image mask is returned.
     """
     bump("provider")
     if img.ndim != 2:
@@ -103,22 +100,18 @@ def generate_masks(img: np.ndarray, top_k: int, min_area: int,
     if top_k < 1 or min_area < 1:
         raise ContractError(f"top_k and min_area must be positive, got {top_k}, {min_area}")
     t = otsu_threshold(img)
-    if t is None:
-        return MaskSet([np.ones(img.shape, dtype=bool)], modality,
-                       [int(img.size)], degenerate=True)
-    fg = quantize(img) > t
-    comps = _components(fg) + _components(~fg)
-    comps = [c for c in comps if c[0] >= min_area]
+    comps = []
+    if t is not None:
+        fg = quantize(img) > t
+        comps = [c for c in _components(fg) + _components(~fg) if c[0] >= min_area]
     if not comps:
-        return MaskSet([np.ones(img.shape, dtype=bool)], modality,
-                       [int(img.size)], degenerate=True)
+        return MaskSet([np.ones(img.shape, dtype=bool)], [int(img.size)])
     comps.sort(key=lambda c: (-c[0], c[1]))
     comps = comps[:top_k]
-    return MaskSet([c[2] for c in comps], modality, [c[0] for c in comps])
+    return MaskSet([c[2] for c in comps], [c[0] for c in comps])
 
 
-def random_rect_masks(img: np.ndarray, top_k: int, rng: np.random.Generator,
-                      modality: str) -> MaskSet:
+def random_rect_masks(img: np.ndarray, top_k: int, rng: np.random.Generator) -> MaskSet:
     """Seeded random rectangles standing in for semantic regions.
 
     This is the ablation that removes the segmentation prior: patches
@@ -136,7 +129,7 @@ def random_rect_masks(img: np.ndarray, top_k: int, rng: np.random.Generator,
         m[r0:r0 + rh, c0:c0 + rw] = True
         rects.append((int(m.sum()), r0 * w + c0, m))
     rects.sort(key=lambda c: (-c[0], c[1]))
-    return MaskSet([r[2] for r in rects], modality, [r[0] for r in rects])
+    return MaskSet([r[2] for r in rects], [r[0] for r in rects])
 
 
 def make_patches(img: np.ndarray, masks: MaskSet) -> list[np.ndarray]:
@@ -198,10 +191,10 @@ class SegmentationStub:
         return ad.reshape(probs, (c, hh, ww))
 
 
-def synth_labels(masks_vis: MaskSet, masks_ir: MaskSet, n_classes: int) -> np.ndarray:
-    """Integer label map from mask rank: background 0, mask i gets class
-    (i mod (n_classes - 1)) + 1 by combined descending-area rank; overlaps
-    resolve to the smaller mask."""
+def synth_labels(masks_vis: MaskSet, masks_ir: MaskSet) -> np.ndarray:
+    """Integer label map over the stub's n_classes from mask rank:
+    background 0, mask i gets class (i mod (n_classes - 1)) + 1 by
+    combined descending-area rank; overlaps resolve to the smaller mask."""
     ranked = []
     for src_idx, ms in enumerate((masks_vis, masks_ir)):
         for j, (mask, area) in enumerate(zip(ms.masks, ms.areas)):
@@ -209,7 +202,7 @@ def synth_labels(masks_vis: MaskSet, masks_ir: MaskSet, n_classes: int) -> np.nd
     ranked.sort(key=lambda r: (-r[0], r[1], r[2]))
     labels = np.zeros(masks_vis.masks[0].shape, dtype=np.int64)
     for rank, (_, _, _, mask) in enumerate(ranked):
-        labels[mask] = (rank % (n_classes - 1)) + 1   # later = smaller wins overlaps
+        labels[mask] = (rank % (SegmentationStub.n_classes - 1)) + 1   # smaller wins overlaps
     return labels
 
 
@@ -225,10 +218,9 @@ class PriorProvider:
         self.encoder = FrozenEncoder()
         self.stub = SegmentationStub()
 
-    def masks_for(self, img: np.ndarray, modality: str,
-                  rng: np.random.Generator | None = None) -> MaskSet:
+    def masks_for(self, img: np.ndarray, rng: np.random.Generator | None = None) -> MaskSet:
         if self.random_patches:
             if rng is None:
                 raise ContractError("random_patches mode needs an rng")
-            return random_rect_masks(img, TOP_K, rng, modality)
-        return generate_masks(img, TOP_K, MIN_AREA, modality)
+            return random_rect_masks(img, TOP_K, rng)
+        return generate_masks(img, TOP_K, MIN_AREA)

@@ -232,8 +232,8 @@ def _with_masks(state: TrainState, batch) -> list:
     `no_sam` masks draw from) runs in the order of a sequential loop,
     whichever worker later runs each pair.
     """
-    return [(vis, ir, state.provider.masks_for(vis, "vis", rng=state.rng),
-             state.provider.masks_for(ir, "ir", rng=state.rng)) for vis, ir in batch]
+    return [(vis, ir, state.provider.masks_for(vis, rng=state.rng),
+             state.provider.masks_for(ir, rng=state.rng)) for vis, ir in batch]
 
 
 def _teach(state: TrainState, vis, ir, mv, mi):
@@ -244,7 +244,7 @@ def _teach(state: TrainState, vis, ir, mv, mi):
 
 def _seg(state: TrainState, ref: Tensor, mv, mi) -> Tensor:
     return _guard("seg", lambda: losses.loss_seg(
-        state.stub.forward(ref), synth_labels(mv, mi, state.stub.n_classes)))
+        state.stub.forward(ref), synth_labels(mv, mi)))
 
 
 def _source_context(out: Tensor, vis, ir) -> list:
@@ -495,7 +495,6 @@ class TrainReport:
     """Per-step loss rows plus epoch summaries and the final state digest."""
 
     rows: list = field(default_factory=list)
-    epoch_sub: list = field(default_factory=list)
     epoch_gap: list = field(default_factory=list)
     diverged: bool = False
     checksum: str = ""
@@ -563,7 +562,6 @@ def _run(state: TrainState, pairs, total: int, update, report: TrainReport,
                     egap.append(gap)
             if esub:
                 cur = float(np.mean(esub))
-                report.epoch_sub.append(cur)
                 report.epoch_gap.append(float(np.mean(egap)))
                 if diverged(prev_mean, cur):
                     report.diverged = True

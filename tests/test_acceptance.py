@@ -73,8 +73,8 @@ def test_criterion_2_loss_identities():
     provider = PriorProvider()
     vis_np, ir_np = synth_pair(7, 16, 16)
     mask_rng = np.random.default_rng(3)
-    mv = random_rect_masks(vis_np, 3, mask_rng, "vis")
-    mi = random_rect_masks(ir_np, 3, mask_rng, "ir")
+    mv = random_rect_masks(vis_np, 3, mask_rng)
+    mi = random_rect_masks(ir_np, 3, mask_rng)
     ref = Tensor(rng.uniform(0.2, 0.8, size=(1, 16, 16)))
     cs_ir, cs_vis = loss_cs(ref, ref, Tensor(vis_np[None]), Tensor(ir_np[None]),
                             mv, mi, provider.encoder)
@@ -87,8 +87,7 @@ def test_criterion_2_loss_identities():
     assert abs(seg - np.log(4.0)) <= 1e-9
 
     # graph total equals the sum of independently logged parts
-    teacher = TeacherNet(TeacherConfig(base_channels=4, token_width=8,
-                                       stages=3, heads=2, head_dim=4), seed=1)
+    teacher = TeacherNet(TeacherConfig(base_channels=4, heads=2, head_dim=4), seed=1)
     student = StudentNet(StudentConfig(stem_channels=8, growth=4,
                                        layers_per_block=4, blocks=3,
                                        tap_width=8), seed=2)
@@ -106,8 +105,7 @@ def test_criterion_2_loss_identities():
 def test_criterion_3_attention_invariants():
     d, heads, head_dim = 8, 2, 4
     rng = np.random.default_rng(31)
-    p = AttentionParams(rng, d, d, heads, head_dim, "stage", own_z=True,
-                        own_kv=True)
+    p = AttentionParams(rng, heads, head_dim, "stage", own_z=True, own_kv=True)
     feats = Tensor(rng.normal(size=(d, 3, 3)))
     repo = build_repository(feats, p)
 

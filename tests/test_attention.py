@@ -18,8 +18,8 @@ from semfuse.instrumentation import delta, snapshot
 D, HEADS, HEAD_DIM = 8, 2, 4
 
 
-def make_params(seed=0, c_in=D, own_z=True, own_kv=True):
-    return AttentionParams(np.random.default_rng(seed), D, c_in, HEADS, HEAD_DIM,
+def make_params(seed=0, own_z=True, own_kv=True):
+    return AttentionParams(np.random.default_rng(seed), HEADS, HEAD_DIM,
                            "stage", own_z=own_z, own_kv=own_kv)
 
 
@@ -242,7 +242,7 @@ class TestFusedHeads:
             qh, kh, vh = ad.rows(q, lo, hi), ad.rows(k, lo, hi), ad.rows(v, lo, hi)
             weights = ad.softmax_rows(ad.matmul(ad.transpose2d(qh), kh) * scale)
             outs.append(ad.matmul(vh, ad.transpose2d(weights)))
-        return ad.concat(outs, axis=0)
+        return ad.concat(outs)
 
     @staticmethod
     def fused(q, k, v, heads, head_dim, sink=None):

@@ -56,9 +56,9 @@ def img_tensor(seed, h=12, w=12):
     return Tensor(np.random.default_rng(seed).uniform(size=(1, h, w)))
 
 
-def whole_mask(h, w, modality):
+def whole_mask(h, w):
     m = np.ones((h, w), dtype=bool)
-    return MaskSet([m], modality, [h * w])
+    return MaskSet([m], [h * w])
 
 
 class TestFea:
@@ -194,8 +194,8 @@ class TestCs:
         fus = img_tensor(40, 16, 16)
         ref = Tensor(fus.data.copy())
         vis, ir = img_tensor(41, 16, 16), img_tensor(42, 16, 16)
-        mv = whole_mask(16, 16, "vis")
-        mi = whole_mask(16, 16, "ir")
+        mv = whole_mask(16, 16)
+        mi = whole_mask(16, 16)
         cs_ir, cs_vis = loss_cs(fus, ref, vis, ir, mv, mi, enc)
         assert cs_ir.data == 0.0 and cs_vis.data == 0.0
 
@@ -205,7 +205,7 @@ class TestCs:
         same = Tensor(img.data.copy())
         cs_ir, cs_vis = loss_cs(img, same, Tensor(img.data.copy()),
                                 Tensor(img.data.copy()),
-                                whole_mask(16, 16, "vis"), whole_mask(16, 16, "ir"), enc)
+                                whole_mask(16, 16), whole_mask(16, 16), enc)
         assert cs_ir.data == 0.0 and cs_vis.data == 0.0
 
     def test_random_positive_and_matches_assembly(self):
@@ -213,8 +213,8 @@ class TestCs:
         fus, ref, vis, ir = (img_tensor(s, 16, 16) for s in (44, 45, 46, 47))
         rng = np.random.default_rng(48)
         um = rng.uniform(size=(16, 16)) > 0.4
-        mv = MaskSet([um], "vis", [int(um.sum())])
-        mi = whole_mask(16, 16, "ir")
+        mv = MaskSet([um], [int(um.sum())])
+        mi = whole_mask(16, 16)
         cs_ir, cs_vis = loss_cs(fus, ref, vis, ir, mv, mi, enc)
         assert cs_ir.data > 0.0 and np.isfinite(cs_ir.data)
         assert cs_vis.data > 0.0 and np.isfinite(cs_vis.data)
@@ -238,11 +238,11 @@ class TestCs:
     def test_empty_union_flags_and_zeroes(self):
         enc = FrozenEncoder()
         fus, ref, vis, ir = (img_tensor(s, 16, 16) for s in (49, 50, 51, 52))
-        empty = MaskSet([np.zeros((16, 16), dtype=bool)], "ir", [0])
+        empty = MaskSet([np.zeros((16, 16), dtype=bool)], [0])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             cs_ir, cs_vis = loss_cs(fus, ref, vis, ir,
-                                    whole_mask(16, 16, "vis"), empty, enc)
+                                    whole_mask(16, 16), empty, enc)
         assert cs_ir.data == 0.0
         assert cs_vis.data > 0.0
         assert any("union" in str(w.message) for w in caught)
@@ -253,7 +253,7 @@ class TestCs:
         vis, ir = img_tensor(55, 16, 16), img_tensor(56, 16, 16)
         for t in (fus, ref, vis, ir):
             t.requires_grad = True
-        mv, mi = whole_mask(16, 16, "vis"), whole_mask(16, 16, "ir")
+        mv, mi = whole_mask(16, 16), whole_mask(16, 16)
 
         def build():
             cs_ir, cs_vis = loss_cs(fus, ref, vis, ir, mv, mi, enc)

@@ -16,7 +16,7 @@ from semfuse.autodiff import Tensor
 from semfuse.data import synth_pair
 from semfuse.errors import CheckpointError, ContractError, ShapeError
 from semfuse.gradcheck import build_suite, check_scalar_fn, jitter
-from semfuse.networks import (StudentConfig, StudentNet, TeacherConfig,
+from semfuse.networks import (STAGES, StudentConfig, StudentNet, TeacherConfig,
                               TeacherNet, dense_block, load_checkpoint,
                               param_count, save_checkpoint)
 from semfuse.priors import PriorProvider, make_patches
@@ -45,7 +45,7 @@ def smooth_patches(img):
 
 # slim widths keep full finite-difference passes cheap; every code path
 # (stages, blocks, adapters, decoder) is identical to the default config
-SLIM_TEACHER = TeacherConfig(base_channels=4, token_width=8, stages=3, heads=2, head_dim=4)
+SLIM_TEACHER = TeacherConfig(base_channels=4, heads=2, head_dim=4)
 SLIM_STUDENT = StudentConfig(stem_channels=8, growth=4, layers_per_block=4, blocks=3, tap_width=8)
 
 
@@ -79,6 +79,10 @@ class TestShapes:
         sf = []
         s.forward(vis, ir, sf)
         assert [a.shape for a in tf] == [b.shape for b in sf]
+
+    def test_teacher_token_width_is_heads_times_head_dim(self):
+        net = TeacherNet(TeacherConfig(base_channels=4, heads=2, head_dim=4))
+        assert [p.d for p in net.stages] == [8] * STAGES
 
     def test_mismatched_sources_rejected(self):
         net = StudentNet()
@@ -121,10 +125,10 @@ class TestDenseBlock:
         """The block as first written: every layer convolves a fresh concat."""
         feats = [x]
         for w, b in layer_params:
-            cur = feats[0] if len(feats) == 1 else ad.concat(feats, axis=0)
-            out = ad.conv2d(cur, w, padding=1) + ad.reshape(b, (b.size, 1, 1))
+            cur = feats[0] if len(feats) == 1 else ad.concat(feats)
+            out = ad.conv2d(cur, w, padding=1) + ad.reshape(b, (b.data.size, 1, 1))
             feats.append(ad.leaky_relu(out))
-        return ad.concat(feats, axis=0)
+        return ad.concat(feats)
 
     def test_bytes_equal_concat_per_layer(self):
         rng = np.random.default_rng(3)
@@ -160,15 +164,15 @@ class TestDenseBlock:
             lo = sum(widths[:j])
             later = [w for w, _ in layer_params[j:]]
             window = (slice(None), slice(lo, lo + widths[j]))
-            stacked = ad.concat([ad.index(w, window) for w in later], axis=0)
+            stacked = ad.concat([ad.index(w, window) for w in later])
             resp = ad.conv2d(feats[j], stacked, padding=1)
             row = 0
             for i, w in enumerate(later, start=j):
                 piece = ad.index(resp, (slice(row, row + w.shape[0]),))
                 sums[i] = sums[i] + piece if i in sums else piece
                 row += w.shape[0]
-            feats.append(ad.leaky_relu(sums.pop(j) + ad.reshape(b, (b.size, 1, 1))))
-        return ad.concat(feats, axis=0)
+            feats.append(ad.leaky_relu(sums.pop(j) + ad.reshape(b, (b.data.size, 1, 1))))
+        return ad.concat(feats)
 
     @pytest.mark.parametrize("train_x,train_w,train_b",
                              list(itertools.product([False, True], repeat=3)))
@@ -351,8 +355,7 @@ class TestTrainingTapeMemory:
         # 4,122 while each node kept them
         vis, ir = synth_pair(0, self.SIDE, self.SIDE)
         provider = PriorProvider()
-        patches = [make_patches(img, provider.masks_for(img, m))
-                   for img, m in ((vis, "vis"), (ir, "ir"))]
+        patches = [make_patches(img, provider.masks_for(img)) for img in (vis, ir)]
         per_pixel = self.kept_per_pixel(TeacherNet(), vis, ir, *patches)
         assert per_pixel <= 1000, f"{per_pixel:.0f} float64 per pixel"
 

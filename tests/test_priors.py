@@ -85,23 +85,21 @@ class TestGenerateMasks:
     def test_two_halves(self):
         img = np.zeros((10, 10))
         img[:, 5:] = 1.0
-        ms = generate_masks(img, top_k=2, min_area=4, modality="vis")
+        ms = generate_masks(img, top_k=2, min_area=4)
         assert len(ms.masks) == 2
         assert ms.areas == [50, 50]
-        assert not ms.degenerate
         union = ms.union()
         assert union.all()
         assert not (ms.masks[0] & ms.masks[1]).any()
 
     def test_constant_degenerates_to_whole_image(self):
-        ms = generate_masks(np.full((6, 6), 0.5), top_k=3, min_area=4, modality="ir")
-        assert ms.degenerate
+        ms = generate_masks(np.full((6, 6), 0.5), top_k=3, min_area=4)
         assert len(ms.masks) == 1
         assert ms.masks[0].all()
 
     def test_three_blobs_match_flood_fill_oracle(self):
         img = three_blob_image()
-        ms = generate_masks(img, top_k=3, min_area=2, modality="vis")
+        ms = generate_masks(img, top_k=3, min_area=2)
         t = otsu_threshold(img)
         oracle = flood_fill_components((img * 255) > t)
         oracle_areas = sorted(int(m.sum()) for m in oracle)
@@ -115,40 +113,40 @@ class TestGenerateMasks:
 
     def test_min_area_filters_small_components(self):
         img = three_blob_image()
-        ms = generate_masks(img, top_k=10, min_area=22, modality="vis")
+        ms = generate_masks(img, top_k=10, min_area=22)
         assert all(a >= 22 for a in ms.areas)
         assert 21 not in ms.areas
 
     def test_top_k_caps_and_orders(self):
         img = three_blob_image()
-        ms = generate_masks(img, top_k=2, min_area=2, modality="vis")
+        ms = generate_masks(img, top_k=2, min_area=2)
         assert len(ms.masks) == 2
         assert ms.areas == sorted(ms.areas, reverse=True)
 
     def test_masks_are_binary_and_ordered_contract(self):
         with pytest.raises(ContractError):
-            MaskSet([np.zeros((2, 2))], "vis", [0])
+            MaskSet([np.zeros((2, 2))], [0])
         with pytest.raises(ContractError):
-            MaskSet([np.ones((2, 2), dtype=bool), np.ones((2, 2), dtype=bool)], "vis", [1, 4])
+            MaskSet([np.ones((2, 2), dtype=bool), np.ones((2, 2), dtype=bool)], [1, 4])
 
     def test_determinism(self):
         img = three_blob_image()
-        a = generate_masks(img, 3, 2, "vis")
-        b = generate_masks(img, 3, 2, "vis")
+        a = generate_masks(img, 3, 2)
+        b = generate_masks(img, 3, 2)
         assert all(np.array_equal(x, y) for x, y in zip(a.masks, b.masks))
 
 
 class TestPatches:
     def test_patch_equals_masked_image(self):
         img = three_blob_image()
-        ms = generate_masks(img, 3, 2, "vis")
+        ms = generate_masks(img, 3, 2)
         ps = make_patches(img, ms)
         for patch, mask in zip(ps, ms.masks):
             assert np.array_equal(patch[mask], img[mask])
             assert np.all(patch[~mask] == 0.0)
 
     def test_shape_mismatch_rejected(self):
-        ms = generate_masks(np.eye(4), 2, 1, "vis")
+        ms = generate_masks(np.eye(4), 2, 1)
         with pytest.raises(ContractError):
             make_patches(np.zeros((5, 5)), ms)
 
@@ -156,8 +154,8 @@ class TestPatches:
 class TestRandomRects:
     def test_seeded_and_shaped(self):
         img = np.zeros((16, 16))
-        a = random_rect_masks(img, 4, np.random.default_rng(3), "vis")
-        b = random_rect_masks(img, 4, np.random.default_rng(3), "vis")
+        a = random_rect_masks(img, 4, np.random.default_rng(3))
+        b = random_rect_masks(img, 4, np.random.default_rng(3))
         assert len(a.masks) == 4
         assert all(np.array_equal(x, y) for x, y in zip(a.masks, b.masks))
         assert a.areas == sorted(a.areas, reverse=True)
@@ -226,9 +224,9 @@ class TestSynthLabels:
     def test_single_mask_two_regions(self):
         m = np.zeros((6, 6), dtype=bool)
         m[:3] = True
-        ms_vis = MaskSet([m], "vis", [18])
-        ms_ir = MaskSet([~m], "ir", [18])
-        labels = synth_labels(ms_vis, ms_ir, n_classes=4)
+        ms_vis = MaskSet([m], [18])
+        ms_ir = MaskSet([~m], [18])
+        labels = synth_labels(ms_vis, ms_ir)
         assert set(np.unique(labels)) <= {0, 1, 2, 3}
         assert (labels[:3] == 1).all() or (labels[:3] == 2).all()
 
@@ -238,9 +236,9 @@ class TestSynthLabels:
             m = np.zeros((10, 10), dtype=bool)
             m[i * 2:i * 2 + 2, :10 - i] = True     # strictly decreasing areas
             masks.append(m)
-        ms_vis = MaskSet(masks[:3], "vis", [int(m.sum()) for m in masks[:3]])
-        ms_ir = MaskSet(masks[3:], "ir", [int(m.sum()) for m in masks[3:]])
-        labels = synth_labels(ms_vis, ms_ir, n_classes=4)
+        ms_vis = MaskSet(masks[:3], [int(m.sum()) for m in masks[:3]])
+        ms_ir = MaskSet(masks[3:], [int(m.sum()) for m in masks[3:]])
+        labels = synth_labels(ms_vis, ms_ir)
         # ranks 0..4 -> classes 1,2,3,1,2
         assert labels[8, 0] == 2                    # smallest mask, rank 4
         assert labels[0, 0] == 1                    # largest, rank 0
@@ -248,8 +246,8 @@ class TestSynthLabels:
     def test_overlap_prefers_smaller_mask(self):
         big = np.zeros((8, 8), dtype=bool); big[:, :6] = True
         small = np.zeros((8, 8), dtype=bool); small[2:4, 2:4] = True
-        ms_vis = MaskSet([big], "vis", [int(big.sum())])
-        ms_ir = MaskSet([small], "ir", [int(small.sum())])
-        labels = synth_labels(ms_vis, ms_ir, n_classes=4)
+        ms_vis = MaskSet([big], [int(big.sum())])
+        ms_ir = MaskSet([small], [int(small.sum())])
+        labels = synth_labels(ms_vis, ms_ir)
         assert labels[3, 3] == 2        # the small mask's class, not the big one's
 

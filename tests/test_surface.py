@@ -8,9 +8,10 @@ other than its own `def`/`class` line.
 
 Parameters: a parameter with a default on a function or method in
 `src/semfuse` must be passed, by keyword or by position, in some call in
-those directories. Callees match by name, and a class's `__init__`
-matches calls to the class name; a call with `*args` or `**kwargs`
-counts as passing every parameter.
+those directories, with a value other than its default. Callees match by
+name, and a class's `__init__` matches calls to the class name; a call
+with `*args` or `**kwargs` counts as passing every parameter, and a
+value that is not a literal counts as differing from the default.
 
 Uses in `tests/` do not count, so a helper or a setting only the tests
 need lives in the tests, or is a constant.
@@ -21,6 +22,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 CALLER_DIRS = ("src", "scripts", "perfbench")
+NOT_LITERAL = object()
 
 # Test seams: defaulted parameters that only tests and the acceptance
 # gate set, each with its reason.
@@ -50,11 +52,24 @@ def defined_names() -> dict:
     return names
 
 
+def literal(node):
+    """The value a literal expression spells, else NOT_LITERAL."""
+    try:
+        return ast.literal_eval(node)
+    except (ValueError, TypeError, SyntaxError):
+        return NOT_LITERAL
+
+
+def is_default(value, default) -> bool:
+    return (value is not NOT_LITERAL and default is not NOT_LITERAL
+            and type(value) is type(default) and value == default)
+
+
 def defaulted_parameters() -> list:
-    """(callee, param, positional index or None, 'file:line') for each
-    parameter with a default. The index counts positions as a caller
+    """(callee, param, positional index or None, default, 'file:line') for
+    each parameter with a default. The index counts positions as a caller
     writes them, so a method's `self` is not counted; None means
-    keyword-only."""
+    keyword-only. The default is its literal value, or NOT_LITERAL."""
     out = []
     for path, tree in package_trees():
         functions = [(None, n) for n in tree.body
@@ -73,17 +88,18 @@ def defaulted_parameters() -> list:
                 positional = positional[1:]
             first_default = len(positional) - len(fn.args.defaults)
             where = f"{path.name}:{fn.lineno}"
-            out += [(callee, a.arg, i, where)
+            out += [(callee, a.arg, i, literal(fn.args.defaults[i - first_default]), where)
                     for i, a in enumerate(positional) if i >= first_default]
-            out += [(callee, a.arg, None, where)
+            out += [(callee, a.arg, None, literal(d), where)
                     for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
     return out
 
 
-def passed_parameters() -> set:
-    """(callee, param or position) for every argument some caller passes;
-    (callee, '*') for a call that spreads `*args` or `**kwargs`."""
-    passed = set()
+def passed_parameters() -> dict:
+    """(callee, param or position) -> the literal values (NOT_LITERAL for
+    any other expression) that callers pass it; (callee, '*') is a key for
+    a call that spreads `*args` or `**kwargs`."""
+    passed = {}
     for path in caller_files():
         for node in ast.walk(ast.parse(path.read_text())):
             if not isinstance(node, ast.Call):
@@ -95,9 +111,11 @@ def passed_parameters() -> set:
                 continue
             if (any(isinstance(a, ast.Starred) for a in node.args)
                     or any(k.arg is None for k in node.keywords)):
-                passed.add((name, "*"))
-            passed.update((name, i) for i in range(len(node.args)))
-            passed.update((name, k.arg) for k in node.keywords if k.arg is not None)
+                passed.setdefault((name, "*"), []).append(NOT_LITERAL)
+            args = list(enumerate(node.args))
+            args += [(k.arg, k.value) for k in node.keywords if k.arg is not None]
+            for key, value in args:
+                passed.setdefault((name, key), []).append(literal(value))
     return passed
 
 
@@ -116,14 +134,12 @@ def test_every_defined_name_has_a_caller_outside_the_tests():
 def test_every_defaulted_parameter_is_set_outside_the_tests():
     passed = passed_parameters()
     unset = {}
-    for callee, param, index, where in defaulted_parameters():
-        keys = {(callee, param), (callee, "*")}
-        if index is not None:
-            keys.add((callee, index))
-        if not keys & passed:
+    for callee, param, index, default, where in defaulted_parameters():
+        keys = [(callee, param), (callee, "*")] + ([(callee, index)] if index is not None else [])
+        if all(is_default(v, default) for k in keys for v in passed.get(k, [])):
             unset[f"{callee}({param})"] = where
     flagged = sorted(set(unset) - set(PARAMETER_SEAMS))
-    assert not flagged, ("defaulted parameters no caller outside the tests sets: "
+    assert not flagged, ("defaulted parameters no caller outside the tests sets to another value: "
                          + ", ".join(f"{k} ({unset[k]})" for k in flagged))
     stale = sorted(set(PARAMETER_SEAMS) - set(unset))
     assert not stale, "allowlisted seams that a caller now sets or that are gone: " + ", ".join(stale)

@@ -27,7 +27,7 @@ from semfuse.training import (Ablations, Adam, TrainConfig, alternate_train,
                               main_phase, make_state, pretrain, sub_phase)
 from semfuse.training import _source_loss, _student_out, _teacher_out
 
-SLIM_T = TeacherConfig(base_channels=4, token_width=8, stages=3, heads=2, head_dim=4)
+SLIM_T = TeacherConfig(base_channels=4, heads=2, head_dim=4)
 SLIM_S = StudentConfig(stem_channels=8, growth=4, layers_per_block=4, blocks=3, tap_width=8)
 
 
@@ -235,11 +235,10 @@ class TestPhases:
         teacher, student, cfg = slim_setup(seed=5)
         state = make_state(teacher, student, cfg)
         vis, ir = make_pairs(1, seed=5)[0]
-        mv = state.provider.masks_for(vis, "vis")
-        mi = state.provider.masks_for(ir, "ir")
+        mv = state.provider.masks_for(vis)
+        mi = state.provider.masks_for(ir)
         ref, _ = teacher.forward(vis, ir, make_patches(vis, mv), make_patches(ir, mi))
-        seg = loss_seg(state.stub.forward(ref),
-                       synth_labels(mv, mi, state.stub.n_classes))
+        seg = loss_seg(state.stub.forward(ref), synth_labels(mv, mi))
         ad.backward(seg)
         assert all(p.grad is None for _, p in student.named_parameters())
         assert any(p.grad is not None for _, p in teacher.named_parameters())
@@ -623,7 +622,7 @@ class TestAlternate:
         assert [r.step for r in report.rows] == list(range(1, 9))
         assert all(r.lr_sub == 0.0 for r in report.rows[:6])
         assert all(r.lr_main == 0.0 for r in report.rows[6:])
-        assert len(report.epoch_sub) == 2
+        assert len(report.epoch_gap) == 2
         assert np.isfinite(report.rows[-1].total_sub)
 
 
