@@ -16,10 +16,11 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from semfuse.autodiff import frozen
 from semfuse.data import synth_pair
 from semfuse.metrics import evaluate_triple
 from semfuse.networks import build_nets
-from semfuse.training import Ablations, TrainConfig, alternate_train, frozen
+from semfuse.training import Ablations, TrainConfig, alternate_train
 
 # the full method, then one row per ablation switch in declaration order
 VARIANTS = (("full", {}),) + tuple((f.name, {f.name: True}) for f in fields(Ablations))

@@ -6,24 +6,3 @@ into a compact student that runs with no prior provider and no attention at
 inference time. Everything runs on a small reverse-mode autodiff core over
 numpy, deterministic end to end.
 """
-from .autodiff import Tensor, backward
-from .errors import (CheckpointError, ContractError, NonFiniteError,
-                     PnmParseError, TrainingAbort)
-from .imageio import Image, load_image, save_image
-from .networks import (StudentConfig, StudentNet, TeacherConfig, TeacherNet,
-                       load_checkpoint, param_count, save_checkpoint)
-from .priors import PriorProvider, SegmentationStub
-from .training import Ablations, TrainConfig, alternate_train, pretrain
-
-__all__ = [
-    "Tensor", "backward",
-    "CheckpointError", "ContractError", "NonFiniteError", "PnmParseError",
-    "TrainingAbort",
-    "Image", "load_image", "save_image",
-    "StudentConfig", "StudentNet", "TeacherConfig", "TeacherNet",
-    "load_checkpoint", "param_count", "save_checkpoint",
-    "PriorProvider", "SegmentationStub",
-    "Ablations", "TrainConfig", "alternate_train", "pretrain",
-]
-
-__version__ = "0.1.0"

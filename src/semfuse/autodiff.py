@@ -56,8 +56,8 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def backward(self, grad: Array | None = None) -> None:
-        backward(self, grad)
+    def backward(self) -> None:
+        backward(self)
 
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
@@ -79,12 +79,6 @@ class Tensor:
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(_as_tensor(other), self)
 
     def __neg__(self):
         return neg(self)

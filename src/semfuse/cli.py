@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import _blas_config, _blas_threads
+from .autodiff import _blas_config, _blas_threads, frozen
 from .data import discover_pairs, load_pair, synth_pair
 from .errors import (CheckpointError, ContractError, NonFiniteError,
                      PnmParseError, TrainingAbort, WorkerError)
@@ -30,8 +30,7 @@ from .metrics import MetricReport, evaluate_triple
 from .networks import (StudentNet, build_nets, load_checkpoint, param_count,
                        save_checkpoint)
 from .priors import PriorProvider, make_patches
-from .training import (Ablations, TrainConfig, alternate_train, frozen,
-                       pretrain)
+from .training import Ablations, TrainConfig, alternate_train, pretrain
 
 EVAL_HEADER = ",".join(["path"] + [f.name for f in fields(MetricReport)])
 

@@ -1,10 +1,18 @@
 """Every name and every defaulted parameter the package defines has a
 caller outside the tests.
 
-Names: a word scan, not a call graph. A function, method or class
-defined in `src/semfuse/*.py` (dunders excluded) must occur as a word
-somewhere in the Python files of `src/`, `scripts/` or `perfbench/`
-other than its own `def`/`class` line.
+Module-level names: a function or class defined at the top of
+`src/semfuse/<m>.py` must be reached by a reference, in the Python files
+of `src/`, `scripts/` or `perfbench/`, that resolves to it: `<alias>.f`
+where the alias is bound to module `<m>` by an import, or a name `f` that
+the standard `symtable` module resolves to `<m>`'s own global `f` (outside
+f's own body) or to an import of `f` from `<m>`. A local variable of the
+same name is not a use. The autodiff ops that `perfbench/tracer.py` looks
+up by string in `OP_GROUPS` are exempt; the list is read from that file.
+
+Other names: a word scan. A method, or a function or class defined inside
+a function (dunders excluded), must occur as a word in those files other
+than its own `def`/`class` line.
 
 Parameters: a parameter with a default on a function or method in
 `src/semfuse` must be passed, by keyword or by position, in some call in
@@ -18,6 +26,7 @@ need lives in the tests, or is a constant.
 """
 import ast
 import re
+import symtable
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -29,6 +38,7 @@ NOT_LITERAL = object()
 PARAMETER_SEAMS = {
     "cross_attend(weights_sink)": "the acceptance gate reads attention weights through it",
     "check_scalar_fn(n_coords)": "the tests sample fewer coordinates",
+    "backward(grad)": "perfbench's tracer calls `fn(root, grad)`",
 }
 
 
@@ -41,15 +51,88 @@ def caller_files():
     return [p for d in CALLER_DIRS for p in sorted((ROOT / d).rglob("*.py"))]
 
 
-def defined_names() -> dict:
-    """name -> 'file:line' of its first definition in the package."""
+def is_definition(node) -> bool:
+    return (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not (node.name.startswith("__") and node.name.endswith("__")))
+
+
+def module_level_names() -> dict:
+    """'semfuse.<m>.<name>' -> 'file:line' for each top-level function or class."""
+    return {f"semfuse.{path.stem}.{node.name}": f"{path.name}:{node.lineno}"
+            for path, tree in package_trees() for node in tree.body if is_definition(node)}
+
+
+def nested_names() -> dict:
+    """name -> 'file:line' of its first definition inside a class or function."""
     names = {}
     for path, tree in package_trees():
-        for node in ast.walk(tree):
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and not (node.name.startswith("__") and node.name.endswith("__"))):
-                names.setdefault(node.name, f"{path.name}:{node.lineno}")
+        for top in tree.body:
+            for node in ast.walk(top):
+                if node is not top and is_definition(node):
+                    names.setdefault(node.name, f"{path.name}:{node.lineno}")
     return names
+
+
+def imported_names(tree) -> dict:
+    """name -> the dotted target an import anywhere in the file binds it to.
+    A relative import is one from `semfuse`, the only package with any."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                head = a.name.partition(".")[0]
+                bound[a.asname or head] = a.name if a.asname else head
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["semfuse" if node.level else None, node.module]))
+            for a in node.names:
+                bound[a.asname or a.name] = f"{base}.{a.name}"
+    return bound
+
+
+def scopes(table, outer=None):
+    """Each symbol table under `table`, with the name of the top-level
+    def or class it is in (None for the module's own table)."""
+    yield table, outer
+    for child in table.get_children():
+        yield from scopes(child, outer or child.get_name())
+
+
+def resolved_uses(path) -> set:
+    """Dotted targets that the names and attribute chains in `path` refer to."""
+    source = path.read_text()
+    tree = ast.parse(source)
+    bound = imported_names(tree)
+    in_package = path.parent == ROOT / "src" / "semfuse"
+    own = {node.name for node in tree.body if is_definition(node)} if in_package else set()
+
+    def dotted(node):
+        if isinstance(node, ast.Name):
+            return bound.get(node.id)
+        base = dotted(node.value) if isinstance(node, ast.Attribute) else None
+        return base and f"{base}.{node.attr}"
+
+    uses = {dotted(node) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    top = symtable.symtable(source, str(path), "exec")
+    for table, outer in scopes(top):
+        for sym in table.get_symbols():
+            name = sym.get_name()
+            home = top if sym.is_global() else table    # the scope that binds the name
+            if not sym.is_referenced() or name not in home.get_identifiers():
+                continue                                # unread, or a builtin
+            if home.lookup(name).is_imported():
+                uses.add(bound[name])
+            elif home is top and name in own and outer != name:
+                uses.add(f"semfuse.{path.stem}.{name}")
+    return uses
+
+
+def looked_up_ops() -> set:
+    """'semfuse.autodiff.<op>' for each op `perfbench/tracer.py`'s OP_GROUPS names."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    groups = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "OP_GROUPS" for t in node.targets))
+    return {f"semfuse.autodiff.{op}" for ops in groups.values() for op in ops}
 
 
 def literal(node):
@@ -119,10 +202,18 @@ def passed_parameters() -> dict:
     return passed
 
 
+def test_every_module_level_name_is_reached_outside_the_tests():
+    uses = set().union(*map(resolved_uses, caller_files()))
+    defined = module_level_names()
+    dead = sorted(set(defined) - uses - looked_up_ops())
+    assert not dead, ("defined at the top of src/semfuse but reached only from the tests: "
+                      + ", ".join(f"{d.removeprefix('semfuse.')} ({defined[d]})" for d in dead))
+
+
 def test_every_defined_name_has_a_caller_outside_the_tests():
     text = "\n".join(p.read_text() for p in caller_files())
     dead = []
-    for name, where in sorted(defined_names().items()):
+    for name, where in sorted(nested_names().items()):
         word = re.escape(name)
         uses = (len(re.findall(rf"\b{word}\b", text))
                 - len(re.findall(rf"\b(?:def|class)\s+{word}\b", text)))
