@@ -1,10 +1,10 @@
 """Command-line surface: train, fuse, eval, gradcheck, info.
 
-Configuration is a flat key=value overlay: defaults, then an optional
-config file, then explicit flags, highest last. Every run prints its
-command, the settings it takes and the loaded BLAS before doing anything,
-so logs are self-describing. Exit codes: 0 success, 1 usage, contract or
-out-of-memory error, lost pair worker or closed stdout, 2 numerical abort.
+Each setting is a flag, and a flag left out keeps its default. Every run
+prints its command, the settings it takes and the loaded BLAS before doing
+anything, so logs are self-describing. Exit codes: 0 success, 1 usage,
+contract or out-of-memory error, lost pair worker or closed stdout,
+2 numerical abort.
 """
 from __future__ import annotations
 
@@ -36,12 +36,12 @@ EVAL_HEADER = ",".join(["path"] + [f.name for f in fields(MetricReport)])
 
 
 class UsageError(ValueError):
-    """Bad flags, bad config keys, or missing inputs. Exit code 1."""
+    """Bad flags, bad setting values, or missing inputs. Exit code 1."""
 
 
 @dataclass
 class RunConfig:
-    """Flat configuration shared by all commands; unknown keys rejected."""
+    """Flat configuration shared by all commands; each field is one flag."""
 
     command: str = ""
     data: str = ""
@@ -83,63 +83,10 @@ class RunConfig:
 
 
 _TYPES = {f.name: type(getattr(RunConfig(), f.name)) for f in fields(RunConfig)}
-_TRUE = {"1", "true", "yes", "on"}
-_FALSE = {"0", "false", "no", "off"}
-
-
-def _coerce(key: str, raw: str):
-    kind = _TYPES[key]
-    if kind is bool:
-        low = raw.lower()
-        if low in _TRUE:
-            return True
-        if low in _FALSE:
-            return False
-        raise UsageError(f"setting {key!r} expects a boolean, got {raw!r}")
-    try:
-        return kind(raw)
-    except ValueError:
-        raise UsageError(
-            f"setting {key!r} expects {kind.__name__}, got {raw!r}") from None
-
-
-def parse_config_text(text: str) -> dict:
-    """key=value lines; # comments; unknown keys rejected."""
-    out = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise UsageError(f"config line {lineno}: expected key=value, got {raw!r}")
-        key, val = line.split("=", 1)
-        key = key.strip().replace("-", "_")
-        if key == "command" or key not in _TYPES:
-            raise UsageError(f"unknown config key {key!r} (line {lineno})")
-        out[key] = _coerce(key, val.strip())
-    return out
 
 
 def resolve(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    overlay = {}
-    path = getattr(args, "config", None)
-    if path is not None:
-        try:
-            text = Path(path).read_text()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise UsageError(f"cannot read config file {path}: {exc}") from exc
-        overlay.update(parse_config_text(text))
-        taken = _COMMANDS[args.command][2]
-        for key in overlay:
-            if key not in taken:
-                raise UsageError(f"config key {key!r} is not a setting of {args.command}")
-    for key, val in vars(args).items():
-        if key in ("command", "config"):
-            continue
-        overlay[key] = val
-    for key, val in overlay.items():
-        setattr(cfg, key, val)
+    cfg = RunConfig(**vars(args))
     for key in ("seed", "synthetic"):
         if getattr(cfg, key) < 0:
             raise UsageError(f"{key} must be >= 0, got {getattr(cfg, key)}")
@@ -335,16 +282,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _flag_type(key: str):
-    """argparse `type=` for one setting: the same coercion as a config line."""
-    def coerce(raw: str):
-        try:
-            return _coerce(key, raw)
-        except UsageError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-    return coerce
-
-
 _ABLATION_KEYS = tuple(f.name for f in fields(Ablations))
 # subcommand -> (handler, help, the RunConfig keys it takes, each one read
 # on its path); every flag is --key-with-dashes
@@ -377,12 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
     for command, (_handler, help_text, keys) in _COMMANDS.items():
         p = sub.add_parser(command, argument_default=argparse.SUPPRESS,
                            help=help_text)
-        p.add_argument("--config", help="key=value config file")
         for key in keys:
-            if _TYPES[key] is bool:
-                kind = {"action": "store_true"}
-            else:
-                kind = {"type": _flag_type(key)}
+            kind = ({"action": "store_true"} if _TYPES[key] is bool
+                    else {"type": _TYPES[key]})
             p.add_argument("--" + key.replace("_", "-"), **kind,
                            **_FLAG_HELP.get(key, {}))
     return parser

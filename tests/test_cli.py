@@ -1,4 +1,4 @@
-"""Command surface: config resolution, artifacts, exit codes, decoupling."""
+"""Command surface: flag parsing, artifacts, exit codes, decoupling."""
 import ast
 import math
 import os
@@ -21,8 +21,7 @@ from semfuse import autodiff as ad
 from semfuse import cli
 from semfuse import losses as losses_mod
 from semfuse.autodiff import Tensor
-from semfuse.cli import (EVAL_HEADER, RunConfig, UsageError, build_parser, main,
-                         parse_config_text, resolve)
+from semfuse.cli import EVAL_HEADER, RunConfig, UsageError, build_parser, main, resolve
 from semfuse.data import load_pair, synth_pair, write_dataset
 from semfuse.errors import ContractError, NonFiniteError
 from semfuse.imageio import Image, load_image, quantize, save_image
@@ -40,36 +39,6 @@ def run(capsys, *argv):
 
 
 class TestConfig:
-    def test_unknown_key_rejected(self):
-        with pytest.raises(UsageError, match="bogus"):
-            parse_config_text("bogus=1\n")
-
-    def test_comments_and_blanks_skipped(self):
-        parsed = parse_config_text("# a comment\n\nseed=3  # trailing\nbatch=2\n")
-        assert parsed == {"seed": 3, "batch": 2}
-
-    def test_bool_spellings(self):
-        parsed = parse_config_text("offline=true\nno_fea=1\nquiet=off\n")
-        assert parsed == {"offline": True, "no_fea": True, "quiet": False}
-
-    def test_bad_value_rejected(self):
-        with pytest.raises(UsageError, match="seed"):
-            parse_config_text("seed=abc\n")
-
-    def test_command_not_settable_from_file(self):
-        with pytest.raises(UsageError):
-            parse_config_text("command=train\n")
-
-    def test_dashes_normalize(self):
-        assert parse_config_text("lr-main=0.01\n") == {"lr_main": 0.01}
-
-    def test_flag_overrides_file(self, tmp_path, capsys):
-        cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text("seed=3\n")
-        rc, out, _ = run(capsys, "info", "--config", str(cfgfile), "--seed", "7")
-        assert rc == 0
-        assert "seed=7" in out.splitlines()
-
     def test_every_run_echoes_config(self, capsys):
         # the command, then only its own keys, then the loaded BLAS
         rc, out, _ = run(capsys, "info")
@@ -89,41 +58,19 @@ class TestConfig:
         rc, _, err = run(capsys, "frobnicate")
         assert rc == 1 and "frobnicate" in err
 
-    def test_unknown_config_key_exits_1(self, tmp_path, capsys):
-        cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text("wat=1\n")
-        rc, _, err = run(capsys, "info", "--config", str(cfgfile))
-        assert rc == 1 and "wat" in err
-
-    def test_config_key_of_another_command_exits_1(self, tmp_path, capsys):
-        # info takes only the attention-variant keys, not no_sam
-        cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text("no_sam=1\n")
-        rc, out, err = run(capsys, "info", "--config", str(cfgfile))
-        assert rc == 1 and out == ""
-        assert err == "error: config key 'no_sam' is not a setting of info\n"
-
-    def test_config_key_of_its_command_runs(self, tmp_path, capsys):
-        cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text("no_sam=1\n")
-        rc, out, _ = run(capsys, *train_args(tmp_path / "run"), "--steps", "1",
-                         "--config", str(cfgfile))
-        assert rc == 0 and "no_sam=true" in out.splitlines()
-
-    def test_missing_config_file_exits_1(self, capsys):
-        rc, _, err = run(capsys, "info", "--config", "/definitely/not/here.cfg")
-        assert rc == 1 and "config" in err
-
-    def test_non_utf8_config_file_exits_1(self, tmp_path, capsys):
-        cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_bytes(b"seed=\xff\xfe\n")
-        rc, _, err = run(capsys, "info", "--config", str(cfgfile))
-        assert rc == 1 and err.startswith("error:") and str(cfgfile) in err
+    def test_config_flag_is_a_usage_error(self, tmp_path, capsys):
+        # settings come from flags only; there is no config file to read
+        out = tmp_path / "run"
+        rc, stdout, err = run(capsys, "train", "--synthetic", "2", "--config", "x",
+                              "--out", str(out))
+        assert rc == 1 and stdout == ""
+        assert err.startswith("error:") and "--config" in err, err
+        assert not out.exists()
 
 
 ABLATION_FLAGS = {"--no-sam", "--no-z", "--no-kv", "--no-pr",
                   "--no-fea", "--no-cont", "--no-cs", "--offline"}
-# every subcommand's flags; --config comes on top
+# every subcommand's flags, besides --help
 COMMAND_FLAGS = {
     "train": {"--data", "--synthetic", "--steps", "--epochs", "--pretrain-epochs",
               "--batch", "--crop", "--lr-main", "--lr-sub", "--lr-floor", "--out", "--seed",
@@ -142,7 +89,7 @@ class TestSettings:
         with pytest.raises(SystemExit):
             main([command, "--help"])
         listed = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
-        assert listed == COMMAND_FLAGS[command] | {"--help", "--config"}
+        assert listed == COMMAND_FLAGS[command] | {"--help"}
 
     @pytest.mark.parametrize("argv", [
         ("train", "--synthetic", "2", "--seed", "-1"),
@@ -152,6 +99,9 @@ class TestSettings:
         ("train", "--synthetic", "2", "--lr-main", "nan"),
         ("train", "--synthetic", "2", "--lr-sub", "inf"),
         ("train", "--synthetic", "2", "--lr-floor", "nan"),
+        ("info", "--seed", "abc"),
+        ("train", "--synthetic", "2", "--batch", "1.5"),
+        ("train", "--synthetic", "2", "--crop", "1e3"),
     ])
     def test_malformed_setting_exits_1_before_any_work(self, tmp_path, capsys,
                                                        monkeypatch, argv):
@@ -183,23 +133,11 @@ class TestSettings:
         assert not out.exists()
 
     @settings(max_examples=150, deadline=None)
-    @given(st.lists(st.one_of(
-        st.text(max_size=20),
-        st.builds("{}={}".format, st.sampled_from([f.name for f in fields(RunConfig)]),
-                  st.one_of(st.sampled_from(FUZZ_VALUES), st.text(max_size=8)))),
-        max_size=6).map("\n".join))
-    def test_config_text_parses_or_raises_usage_error(self, text):
-        try:
-            parsed = parse_config_text(text)
-        except UsageError:
-            return
-        assert isinstance(parsed, dict)
-
-    @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_argv_resolves_or_raises_a_typed_error(self, data):
         command = data.draw(st.sampled_from(sorted(COMMAND_FLAGS)))
-        pool = sorted(COMMAND_FLAGS[command] | {"--out", "--seed", "--quiet", "--bogus"})
+        pool = sorted(COMMAND_FLAGS[command]
+                      | {"--out", "--seed", "--quiet", "--bogus", "--config"})
         argv = [command]
         for _ in range(data.draw(st.integers(0, 5))):
             flag = data.draw(st.sampled_from(pool))
